@@ -37,8 +37,6 @@ Methodology notes, also embedded in the JSON:
 
 import argparse
 import json
-import multiprocessing
-import resource
 import sys
 import tempfile
 import time
@@ -56,6 +54,11 @@ from repro.dataset.network import Network, NetworkConfig, decile_peak_rate
 from repro.dataset.simulator import SimulationConfig, simulate
 from repro.io.cache import ArtifactCache
 from repro.pipeline.executors import ParallelExecutor
+
+if __package__:
+    from .isolation import isolated_phase
+else:  # run as a script: the benchmarks directory is sys.path[0]
+    from isolation import isolated_phase
 
 #: Root seed shared by every run; digests are compared across runs.
 SEED = 0
@@ -80,36 +83,6 @@ RSS_FLAT_TOLERANCE = 1.25
 
 #: The paper's real measurement footprint, for the extrapolation block.
 PAPER_BS, PAPER_DAYS = 282_000, 45
-
-
-def peak_rss_mb() -> float:
-    """Process high-water resident set size in MiB (monotone)."""
-    ru_maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    scale = 1024.0 if sys.platform == "darwin" else 1.0
-    return ru_maxrss * scale / 1024.0
-
-
-def isolated_phase(fn, *args) -> tuple[dict, float]:
-    """Run ``fn(*args)`` in a forked child; return (result, child RSS MiB).
-
-    ``ru_maxrss`` never goes down, so phases measured in one process mask
-    each other; a fresh fork gives each phase its own high-water mark on
-    top of whatever the parent had resident at fork time.
-    """
-    context = multiprocessing.get_context("fork")
-    queue = context.SimpleQueue()
-
-    def target() -> None:
-        result = fn(*args)
-        queue.put((result, peak_rss_mb()))
-
-    process = context.Process(target=target)
-    process.start()
-    result, rss = queue.get()
-    process.join()
-    if process.exitcode != 0:
-        raise RuntimeError(f"phase child exited with {process.exitcode}")
-    return result, rss
 
 
 def build_generator(n_bs: int, rate_scale: float) -> TrafficGenerator:

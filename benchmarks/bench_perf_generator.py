@@ -46,8 +46,6 @@ Methodology notes, also embedded in the JSON:
 import argparse
 import json
 import math
-import multiprocessing
-import resource
 import sys
 import tempfile
 import time
@@ -65,6 +63,12 @@ from repro.core.service_mix import ServiceMix
 from repro.dataset.network import Network, NetworkConfig, decile_peak_rate
 from repro.dataset.records import SessionArena
 from repro.dataset.simulator import SimulationConfig, simulate
+from repro.pipeline.executors import peak_rss_mb
+
+if __package__:
+    from .isolation import isolated_phase
+else:  # run as a script: the benchmarks directory is sys.path[0]
+    from isolation import isolated_phase
 
 #: Full workload — the acceptance scale of the batched engine.
 FULL_BS, FULL_DAYS = 200, 7
@@ -110,36 +114,6 @@ TELEMETRY_MIN_PLAIN_S = 0.3
 #: short arms spread both minima across ~10s of wall clock, so a slow
 #: window of the shared VM cannot bias one arm alone.
 TELEMETRY_TRIALS = 15
-
-
-def peak_rss_mb() -> float:
-    """Process high-water resident set size in MiB (monotone)."""
-    ru_maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    scale = 1024.0 if sys.platform == "darwin" else 1.0
-    return ru_maxrss * scale / 1024.0
-
-
-def isolated_phase(fn, *args) -> tuple[dict, float]:
-    """Run ``fn(*args)`` in a forked child; return (result, child RSS MiB).
-
-    ``ru_maxrss`` never goes down, so phases measured in one process mask
-    each other; a fresh fork gives each phase its own high-water mark on
-    top of whatever the parent had resident at fork time.
-    """
-    context = multiprocessing.get_context("fork")
-    queue = context.SimpleQueue()
-
-    def target() -> None:
-        result = fn(*args)
-        queue.put((result, peak_rss_mb()))
-
-    process = context.Process(target=target)
-    process.start()
-    result, rss = queue.get()
-    process.join()
-    if process.exitcode != 0:
-        raise RuntimeError(f"phase child exited with {process.exitcode}")
-    return result, rss
 
 
 def build_generator(n_bs: int) -> TrafficGenerator:

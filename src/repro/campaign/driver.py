@@ -231,36 +231,42 @@ def _run_shard(item: tuple) -> dict:
     return aggregate.to_dict()
 
 
-def _shard_key(
-    shard: Shard,
-    arrivals: dict,
-    mix,
-    bank,
-    root_seed: int,
-    precision: int,
-    hll_seed: int,
-) -> str:
+def _key_prefix(
+    mix, bank, root_seed: int, precision: int, hll_seed: int
+) -> dict:
+    """The shard-key parts every shard of one campaign run shares.
+
+    Built once per :func:`run_campaign` call: re-encoding and re-parsing
+    the model bank for every shard dominated key derivation.
+    """
+    return {
+        "artifact": "campaign-shard-aggregate",
+        "format": SKETCH_FORMAT_VERSION,
+        "mix": mix.probabilities(),
+        "bank": json.loads(bank.to_json()),
+        "seed": root_seed,
+        "hll": {"precision": precision, "seed": hll_seed},
+    }
+
+
+def _shard_key(shard: Shard, arrivals: dict, prefix: dict) -> str:
     """Content key of one shard's checkpoint aggregate.
 
     Derived from the facts that determine the aggregate's bytes: the
-    shard's own models, the root seed, the unit set and the sketch
-    configuration (including the serialization format version).  The
-    chunk budget is deliberately excluded — chunking cannot change the
-    aggregate, so re-running with a different budget still resumes.
-    Scoping the models to the shard's BSs means growing the campaign
-    never invalidates already-completed shards.
+    run-wide ``prefix`` (:func:`_key_prefix`: models, root seed and the
+    sketch configuration including the serialization format version),
+    the shard's own arrival models and its unit set.  The chunk budget is
+    deliberately excluded — chunking cannot change the aggregate, so
+    re-running with a different budget still resumes.  Scoping the
+    arrival models to the shard's BSs means growing the campaign never
+    invalidates already-completed shards.
     """
     return content_key(
         {
-            "artifact": "campaign-shard-aggregate",
-            "format": SKETCH_FORMAT_VERSION,
-            "mix": mix.probabilities(),
-            "bank": json.loads(bank.to_json()),
+            **prefix,
             "arrivals": {str(bs_id): arrivals[bs_id] for bs_id in shard.bs_ids},
             "day": shard.day,
             "bs_ids": list(shard.bs_ids),
-            "seed": root_seed,
-            "hll": {"precision": precision, "seed": hll_seed},
         }
     )
 
@@ -357,16 +363,14 @@ def run_campaign(
     keys: dict[int, str] = {}
     resumed: dict[int, CampaignAggregate] = {}
     pending: list[Shard] = []
+    if cache is not None:
+        prefix = _key_prefix(
+            generator.mix, generator.bank, root_seed, hll_precision, hll_seed
+        )
     for shard in shards:
         if cache is not None:
             keys[shard.index] = _shard_key(
-                shard,
-                generator.arrival_models,
-                generator.mix,
-                generator.bank,
-                root_seed,
-                hll_precision,
-                hll_seed,
+                shard, generator.arrival_models, prefix
             )
         restored = None
         if (

@@ -73,6 +73,17 @@ DEFAULT_HLL_SEED = 0x5E55104E
 #: ints (numpy int64 could overflow); below it the fast array path is safe.
 _INT64_SAFE = 1 << 62
 
+#: :data:`LOG_GRID`'s outer edges: log10 volumes are already the uniform
+#: coordinates of that grid.
+_VOLUME_GRID_SPAN = (float(LOG_GRID[0]), float(LOG_GRID[-1]))
+
+#: ``DURATION_EDGES``' outer edges under ``ln``, which makes that
+#: geometric grid uniform.
+_DURATION_GRID_SPAN = (
+    float(np.log(DURATION_EDGES[0])),
+    float(np.log(DURATION_EDGES[-1])),
+)
+
 #: splitmix64 constants (Steele et al.), the 64-bit finalizer mixing each
 #: fingerprint component.
 _SM_GAMMA = np.uint64(0x9E3779B97F4A7C15)
@@ -90,13 +101,17 @@ class SketchError(ValueError):
 def _quantize(values: np.ndarray, quantum_log2: int) -> np.ndarray | list[int]:
     """Map float values to exact integers in ``2**-quantum_log2`` quanta.
 
-    ``ldexp`` scales by a power of two without introducing rounding beyond
+    Scaling by a power of two is exact (a product with ``2.0**k`` is the
+    same correctly rounded value as ``ldexp``) and adds no rounding beyond
     the final ``rint``; the result is the same no matter where or in what
     batch the value is quantized.  Magnitudes that would not fit ``int64``
     (pathological duration tails) fall back to exact Python ints.
     """
-    scaled = np.rint(np.ldexp(np.asarray(values, dtype=np.float64), quantum_log2))
-    if scaled.size and float(np.abs(scaled).max()) >= float(_INT64_SAFE):
+    scaled = np.multiply(
+        np.asarray(values, dtype=np.float64), 2.0**quantum_log2
+    )
+    np.rint(scaled, out=scaled)
+    if scaled.size and max(-scaled.min(), scaled.max()) >= _INT64_SAFE:
         return [int(x) for x in scaled]
     return scaled.astype(np.int64)
 
@@ -104,21 +119,21 @@ def _quantize(values: np.ndarray, quantum_log2: int) -> np.ndarray | list[int]:
 def _exact_sum(quantized: np.ndarray | list[int]) -> int:
     """Sum quantized integers exactly into an unbounded Python int.
 
-    numpy's ``int64`` partial sums are used in blocks sized so they cannot
-    overflow given the block's own maximum element; block totals accumulate
-    in Python ints, which are exact at any magnitude.
+    Array inputs stay below 2^62 in magnitude (see :func:`_quantize`), so
+    each splits into a signed high part (arithmetic shift by 31, below
+    2^31 in magnitude) and a 31-bit low part.  Over blocks of at most 2^31
+    rows neither part's ``int64`` sum can overflow, whatever the values —
+    two passes, however heavy the tail.  Part totals recombine in Python
+    ints, which are exact at any magnitude.
     """
     if isinstance(quantized, list):
         return sum(quantized)
-    if quantized.size == 0:
-        return 0
-    bound = int(np.abs(quantized).max())
-    if bound == 0:
-        return 0
-    block = max(1, min(quantized.size, _INT64_SAFE // (bound + 1)))
     total = 0
-    for lo in range(0, quantized.size, block):
-        total += int(quantized[lo : lo + block].sum(dtype=np.int64))
+    for lo in range(0, quantized.size, 1 << 31):
+        block = quantized[lo : lo + (1 << 31)]
+        high = int(np.right_shift(block, 31).sum(dtype=np.int64))
+        low = int(np.bitwise_and(block, (1 << 31) - 1).sum(dtype=np.int64))
+        total += (high << 31) + low
     return total
 
 
@@ -160,6 +175,23 @@ def _exact_weighted_bincount(
     return totals
 
 
+def _positive_range(name: str, values: np.ndarray) -> tuple[float, float]:
+    """``(min, max)`` of a non-empty column, which must be finite and > 0.
+
+    NaN propagates through both reductions and fails both comparisons, so
+    the extremes the moments keep anyway double as the boundary check:
+    NaN, infinities, zeros (``-0.0`` too) and negatives raise
+    :class:`SketchError` naming the column.
+    """
+    low, high = float(values.min()), float(values.max())
+    if not (low > 0.0 and high < np.inf):
+        raise SketchError(
+            f"{name} must be finite and positive "
+            f"(batch min {low!r}, max {high!r})"
+        )
+    return low, high
+
+
 def _require(condition: bool, message: str) -> None:
     """Raise :class:`SketchError` unless a structural invariant holds."""
     if not condition:
@@ -195,12 +227,26 @@ class Moments:
         values = np.asarray(values, dtype=np.float64)
         if values.size == 0:
             return self
+        return self._fold(
+            values,
+            _exact_sum(_quantize(values, self.quantum_log2)),
+            float(values.min()),
+            float(values.max()),
+        )
+
+    def _fold(
+        self, values: np.ndarray, total_q: int, low: float, high: float
+    ) -> "Moments":
+        """Fold a non-empty float64 batch in; returns ``self``.
+
+        The caller has already computed the batch's quantized total and
+        extremes: the campaign fold shares them with other components.
+        """
         self.count += int(values.size)
-        self.total_q += _exact_sum(_quantize(values, self.quantum_log2))
+        self.total_q += total_q
         self.total_sq_q += _exact_sum(
             _quantize(np.square(values), self.sq_quantum_log2)
         )
-        low, high = float(values.min()), float(values.max())
         self.minimum = low if self.minimum is None else min(self.minimum, low)
         self.maximum = high if self.maximum is None else max(self.maximum, high)
         return self
@@ -335,8 +381,46 @@ class FixedHistogram:
             return self
         idx = np.searchsorted(self.edges, values, side="right") - 1
         np.clip(idx, 0, self.n_bins - 1, out=idx)
+        return self._count(idx)
+
+    def _count(self, idx: np.ndarray) -> "FixedHistogram":
+        """Add one count per (in-range) bin index; returns ``self``."""
         self.counts += np.bincount(idx, minlength=self.n_bins)
         return self
+
+    def _bin_index(
+        self, values: np.ndarray, coords: np.ndarray, first: float, last: float
+    ) -> np.ndarray:
+        """Bin of every value in O(1) each, exactly as a binary search.
+
+        ``coords`` are the values under a monotone map that makes the grid
+        uniform, and ``first``/``last`` the grid's outer edges under the
+        same map: ``log10`` volumes on :data:`LOG_GRID` are their own
+        coordinates, durations on the geometric ``DURATION_EDGES`` take
+        ``ln``.  ``floor((coords - first) / width)`` then guesses each bin
+        to within one; the guess is clipped into the grid and moved at most
+        one bin by comparing the value with the two real edges around it.
+        The result therefore equals
+        ``clip(searchsorted(edges, values, side="right") - 1, 0, n - 1)``
+        for every input, whatever rounding the coordinates carry: values
+        below the grid land in bin 0, values at or past its last interior
+        edge (``+inf`` included) in the last bin.  ``values`` must not be
+        NaN; a NaN coordinate (``ln`` of a negative) guesses bin 0.
+        """
+        top = self.n_bins - 1
+        guess = np.subtract(coords, first)
+        with np.errstate(over="ignore"):  # huge coordinates clip below
+            guess *= self.n_bins / (last - first)
+        np.floor(guess, out=guess)
+        np.fmax(guess, 0, out=guess)
+        np.fmin(guess, top, out=guess)
+        idx = guess.astype(np.intp)
+        below = values < self.edges.take(idx)
+        idx += values >= self.edges[1:].take(idx)
+        idx -= below
+        np.maximum(idx, 0, out=idx)
+        np.minimum(idx, top, out=idx)
+        return idx
 
     def merge(self, other: "FixedHistogram") -> "FixedHistogram":
         """Fold another histogram in (exact integer addition)."""
@@ -385,22 +469,20 @@ def _splitmix64(x: np.ndarray) -> np.ndarray:
         return z ^ (z >> np.uint64(31))
 
 
-def _bit_length_u64(values: np.ndarray) -> np.ndarray:
+def _bit_length(values: np.ndarray) -> np.ndarray:
     """Exact vectorized bit length of uint64 values (0 for zero).
 
-    A six-step binary search over shifts — unlike ``log2``-based tricks it
-    is exact for every input, which keeps HLL ranks (and therefore merged
-    registers) identical wherever they are computed.
+    Each 32-bit half converts to float64 exactly, and ``frexp`` returns a
+    float's binary exponent, which for an integer is its bit length.  The
+    high half's length plus 32 wins whenever that half is non-zero.
+    Unlike ``log2`` of the whole word (which rounds above 2^53) it is exact
+    for every input, which keeps HLL ranks — and so merged registers —
+    identical wherever they are computed.
     """
-    length = np.zeros(values.shape, dtype=np.int64)
-    work = values.copy()
-    for shift in (32, 16, 8, 4, 2, 1):
-        step = np.uint64(shift)
-        big = work >= (np.uint64(1) << step)
-        length[big] += shift
-        work[big] >>= step
-    length += work.astype(np.int64)  # remaining 0/1 bit
-    return length
+    high = np.frexp((values >> np.uint64(32)).astype(np.float64))[1]
+    low = np.frexp((values & np.uint64(0xFFFFFFFF)).astype(np.float64))[1]
+    np.add(high, 32, out=high, where=high > 0)
+    return np.maximum(high, low, out=high)
 
 
 class HyperLogLog:
@@ -460,9 +542,7 @@ class HyperLogLog:
         tail_bits = np.uint64(64 - self.precision)
         idx = (hashes >> tail_bits).astype(np.intp)
         tail = hashes & ((np.uint64(1) << tail_bits) - np.uint64(1))
-        rank = (
-            int(tail_bits) + 1 - _bit_length_u64(tail)
-        ).astype(np.uint8)
+        rank = (int(tail_bits) + 1 - _bit_length(tail)).astype(np.uint8)
         np.maximum.at(self.registers, idx, rank)
         return self
 
@@ -529,26 +609,32 @@ def session_fingerprints(table: SessionTable, seed: int) -> np.ndarray:
     Each row's columns are mixed into one uint64 through chained
     splitmix64 rounds — a pure function of (seed, row content), so the
     same session yields the same fingerprint in whatever shard or chunk
-    it is generated.  Float columns contribute their exact bit patterns.
+    it is generated.  Float columns contribute their exact bit patterns;
+    signed columns their two's-complement words.  The rounds run in place
+    on the result with one reused scratch word per row (the same function
+    as :func:`_splitmix64`, without its temporaries).
     """
     n = len(table)
-    with np.errstate(over="ignore"):
-        h = np.full(n, np.uint64(seed & 0xFFFFFFFFFFFFFFFF), dtype=np.uint64)
-        for column in (
-            table.service_idx.astype(np.uint64),
-            table.bs_id.astype(np.int64).astype(np.uint64),
-            table.day.astype(np.uint64),
-            table.start_minute.astype(np.uint64),
-            np.ascontiguousarray(table.duration_s)
-            .view(np.uint32)
-            .astype(np.uint64),
-            np.ascontiguousarray(table.volume_mb)
-            .view(np.uint32)
-            .astype(np.uint64),
-            table.truncated.astype(np.uint64),
-        ):
-            h ^= column
-            h = _splitmix64(h)
+    h = np.full(n, np.uint64(seed & 0xFFFFFFFFFFFFFFFF), dtype=np.uint64)
+    scratch = np.empty(n, dtype=np.uint64)
+    for column in (
+        table.service_idx,
+        table.bs_id,
+        table.day,
+        table.start_minute,
+        np.ascontiguousarray(table.duration_s).view(np.uint32),
+        np.ascontiguousarray(table.volume_mb).view(np.uint32),
+        table.truncated,
+    ):
+        np.copyto(scratch, column, casting="unsafe")
+        h ^= scratch
+        h += _SM_GAMMA
+        for shift, multiplier in ((30, _SM_M1), (27, _SM_M2)):
+            np.right_shift(h, np.uint64(shift), out=scratch)
+            h ^= scratch
+            h *= multiplier
+        np.right_shift(h, np.uint64(31), out=scratch)
+        h ^= scratch
     return h
 
 
@@ -634,11 +720,22 @@ class CampaignAggregate:
         Accumulating a table equals accumulating any partition of its rows
         in any order — every component is an exact integer or order-free
         reduction — which is the invariant the shard/chunk topology of the
-        driver relies on.
+        driver relies on.  Volumes and durations must be finite and
+        positive: otherwise :class:`SketchError` names the column and the
+        aggregate is left untouched.
+
+        Components share work: each float column is widened to float64
+        once, volumes are quantized once for both the per-service totals
+        and the volume moments, and both histograms bin in O(1) per value
+        (:meth:`FixedHistogram._bin_index`).
         """
         n = len(table)
         if n == 0:
             return self
+        volume = np.asarray(table.volume_mb, dtype=np.float64)
+        duration = np.asarray(table.duration_s, dtype=np.float64)
+        volume_range = _positive_range("volume_mb", volume)
+        duration_range = _positive_range("duration_s", duration)
         service = np.asarray(table.service_idx, dtype=np.intp)
         self.service_sessions += np.bincount(
             service, minlength=len(SERVICE_NAMES)
@@ -648,17 +745,28 @@ class CampaignAggregate:
             minlength=MINUTES_PER_DAY,
         )
         self.truncated_sessions += int(np.count_nonzero(table.truncated))
-        volume = np.asarray(table.volume_mb, dtype=np.float64)
-        duration = np.asarray(table.duration_s, dtype=np.float64)
-        volume_q = _quantize(volume, VOLUME_QUANTUM_LOG2)
-        for idx, total in enumerate(
-            _exact_weighted_bincount(service, volume_q, len(SERVICE_NAMES))
-        ):
+        service_q = _exact_weighted_bincount(
+            service, _quantize(volume, VOLUME_QUANTUM_LOG2), len(SERVICE_NAMES)
+        )
+        for idx, total in enumerate(service_q):
             self.service_volume_q[idx] += total
-        self.volume_hist.update(np.log10(volume))
-        self.duration_hist.update(duration)
-        self.volume.update(volume)
-        self.duration.update(duration)
+        self.volume._fold(volume, sum(service_q), *volume_range)
+        self.duration._fold(
+            duration,
+            _exact_sum(_quantize(duration, DURATION_QUANTUM_LOG2)),
+            *duration_range,
+        )
+        log_volume = np.log10(volume)
+        self.volume_hist._count(
+            self.volume_hist._bin_index(
+                log_volume, log_volume, *_VOLUME_GRID_SPAN
+            )
+        )
+        self.duration_hist._count(
+            self.duration_hist._bin_index(
+                duration, np.log(duration), *_DURATION_GRID_SPAN
+            )
+        )
         self.distinct.add_hashes(
             session_fingerprints(table, self.distinct.seed)
         )

@@ -456,35 +456,6 @@ class BatchSampler:
         """Draw ``size`` service indices, matching ``ServiceMix.sample``."""
         return self.services_from_uniforms(rng.random(size))
 
-    def sample_bodies(
-        self, cells: np.ndarray, z: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Volumes (MB) and durations (s) from resolved cells and normals.
-
-        ``z`` is each session's standard-normal log10-volume draw (float32
-        precision — the draws feed distributions, not reproducibility
-        contracts with the legacy path).  Volumes and durations both
-        resolve as single float32 log-space ``exp`` evaluations — the
-        duration power law ``(v / alpha) ** (1 / beta)`` collapses to
-        ``exp(ln10 * (log10 v - log10 alpha) / beta)`` — matching the
-        per-session distribution of sampling each service's model
-        separately.  Durations are clipped to one second, as in
-        :meth:`~repro.core.service_model.SessionLevelModel.sample_sessions`.
-        """
-        ln10 = np.float32(_LN10)
-        log10_volume = self.cell_sigma.take(cells)
-        log10_volume *= z.astype(np.float32, copy=False)
-        log10_volume += self.cell_mu.take(cells)
-        durations = log10_volume - self.cell_log10_alpha.take(cells)
-        durations *= self.cell_inv_beta.take(cells)
-        durations *= ln10
-        np.exp(durations, out=durations)
-        np.maximum(durations, np.float32(1.0), out=durations)
-        volumes = log10_volume
-        volumes *= ln10
-        np.exp(volumes, out=volumes)
-        return volumes, durations
-
 
 # ----------------------------------------------------------------------
 # Fused one-uniform kernel

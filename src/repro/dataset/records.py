@@ -297,9 +297,11 @@ class SessionTable:
         """Check column alignment and value ranges; returns ``self``.
 
         Raises :class:`RecordsError` on misaligned columns, service
-        indices outside the catalog, non-positive durations or volumes
-        (zero durations included — the rows that would otherwise emit
-        infinite throughput), or start minutes outside 0..1439.
+        indices outside the catalog, durations or volumes that are not
+        finite and positive (zero durations included — the rows that would
+        otherwise emit infinite throughput — and NaN or infinities, which
+        would otherwise fail deep inside an aggregate), or start minutes
+        outside 0..1439.
         """
         n = self.service_idx.size
         for column in self.COLUMNS:
@@ -310,10 +312,12 @@ class SessionTable:
                 SERVICE_NAMES
             ):
                 raise RecordsError("service_idx out of catalog range")
-            if np.any(self.duration_s <= 0):
-                raise RecordsError("durations must be positive")
-            if np.any(self.volume_mb <= 0):
-                raise RecordsError("volumes must be positive")
+            # NaN fails both comparisons, so it is rejected as well.
+            for values, label in (
+                (self.duration_s, "durations"), (self.volume_mb, "volumes")
+            ):
+                if not np.all((values > 0) & (values < np.inf)):
+                    raise RecordsError(f"{label} must be finite and positive")
             if self.start_minute.min() < 0 or self.start_minute.max() > 1439:
                 raise RecordsError("start_minute out of 0..1439")
         return self

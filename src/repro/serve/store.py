@@ -32,7 +32,7 @@ import json
 import sqlite3
 import threading
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any, Mapping
 
 from ..campaign.driver import CHECKPOINT_KIND, CHECKPOINT_SUFFIX
 from ..campaign.sketches import CampaignAggregate, SketchError
@@ -480,20 +480,3 @@ class AggregateStore:
                 "SELECT body FROM manifests WHERE campaign = ?", (name,)
             ).fetchone()
         return json.loads(row[0]) if row is not None else None
-
-
-def scan_checkpoint_paths(cache_root: str | Path) -> list[Path]:
-    """The spooled shard-checkpoint files under a cache root, sorted."""
-    directory = Path(cache_root) / CHECKPOINT_KIND
-    return sorted(
-        p for p in directory.glob(f"*{CHECKPOINT_SUFFIX}")
-        if not p.name.startswith(".tmp-")
-    )
-
-
-def iter_submission_lines(paths: Iterable[str | Path]) -> Iterable[str]:
-    """Concatenate JSONL submission files into one line stream."""
-    for path in paths:
-        for raw in Path(path).read_text(encoding="utf-8").splitlines():
-            if raw.strip():
-                yield raw

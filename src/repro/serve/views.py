@@ -27,7 +27,6 @@ from ..campaign.fidelity import AGGREGATE_CLAIMS, evaluate_aggregate
 from ..campaign.sketches import CampaignAggregate
 from ..dataset.aggregation import DURATION_EDGES
 from ..dataset.records import SERVICE_NAMES
-from ..verify.report import FidelityReport
 
 #: The endpoint families whose documents are precomputed per campaign.
 AGGREGATE_FAMILIES = (
@@ -124,11 +123,6 @@ def fidelity_document(
         "summary": report.summary(),
         "checks": [result.to_dict() for result in report.results],
     }
-
-
-def fidelity_report_from_document(document: Mapping[str, Any]) -> FidelityReport:
-    """Rebuild the judged report from a served fidelity document."""
-    return FidelityReport.from_dict({"results": document["checks"]})
 
 
 def arrivals_document(

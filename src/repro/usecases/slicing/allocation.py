@@ -21,8 +21,8 @@ from ...core.arrivals import ArrivalModel
 from ...core.model_bank import ModelBank
 from ...core.service_mix import ServiceMix
 from ...dataset.records import SERVICE_INDEX, SERVICE_NAMES
-from ...dataset.services import LiteratureCategory
-from .benchmarks import sample_category_sessions, services_in_category
+from ...dataset.services import LiteratureCategory, services_in_category
+from .benchmarks import sample_category_sessions
 from .demand import campaign_peak_mask, spread_sessions
 
 #: SLA percentile of Section 6.1 (demand fully served 95 % of the time).

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ...dataset.services import LiteratureCategory, services_in_category
+from ...dataset.services import LiteratureCategory
 
 
 class BenchmarkError(ValueError):
@@ -103,11 +103,6 @@ def normalized_shares(
     if any(v < 0 for v in shares.values()):
         raise BenchmarkError("category shares must be non-negative")
     return {c: shares.get(c, 0.0) / total for c in LiteratureCategory}
-
-
-def category_of_services() -> dict[LiteratureCategory, list[str]]:
-    """Service names per category (the mapping used to split capacity)."""
-    return {c: services_in_category(c) for c in LiteratureCategory}
 
 
 def sample_category_sessions(

@@ -155,6 +155,61 @@ class TestByteIdentity:
             run_campaign(generator, DAYS, SEED, chunk_sessions=0)
 
 
+class TestPinnedDigest:
+    """The fold's output, pinned to bytes recorded before it was optimised.
+
+    ``PINNED_DIGEST`` and ``PINNED_KEYS`` were recorded by running this
+    exact campaign (32 decile-swept BSs at a tenth of the decile peak
+    rates, one day, root seed 1, 4 shards of 8 BSs, default HLL
+    precision) with the straightforward fold — binary-search binning,
+    six-step bit length, out-of-place splitmix64 — and per-shard key
+    derivation that re-encoded the model bank for every shard, on x86-64
+    with numpy 2.4.  Any change to the fold, the fingerprint hash, the
+    serialization or the shard-key parts fails here, in tier-1, without
+    running the benchmark.
+    """
+
+    PINNED_DIGEST = (
+        "0adc7f0cdf9271983e8742a668273ee5a81fa5dfe73d63503a6862fb7c4af4a1"
+    )
+    PINNED_KEYS = [
+        "219ae5750532d3968bc5",
+        "41b0fa658dee87159026",
+        "a63e938bba8416bb5eb2",
+        "fca09f54e19fad61376e",
+    ]
+
+    @pytest.fixture(scope="class")
+    def decile_generator(self, bank):
+        from repro.dataset.network import decile_peak_rate
+
+        arrivals = {}
+        for bs_id in range(32):
+            peak = decile_peak_rate(1 + bs_id % 9) * 0.1
+            arrivals[bs_id] = ArrivalModel(peak, peak / 10.0, peak / 8.0)
+        mix = ServiceMix.from_table1().restricted_to(bank.services())
+        return TrafficGenerator(arrivals, mix, bank)
+
+    def test_serial_parallel_and_resumed_runs_give_the_pinned_bytes(
+        self, decile_generator, tmp_path
+    ):
+        from repro.campaign.driver import CHECKPOINT_KIND
+
+        cache = ArtifactCache(tmp_path)
+        serial = run_campaign(decile_generator, 1, 1, shard_bs=8, cache=cache)
+        with ParallelExecutor(jobs=2) as executor:
+            parallel = run_campaign(
+                decile_generator, 1, 1, shard_bs=8, executor=executor
+            )
+        resumed = run_campaign(decile_generator, 1, 1, shard_bs=8, cache=cache)
+        assert serial.computed_shards == resumed.resumed_shards == 4
+        assert serial.digest() == self.PINNED_DIGEST
+        assert parallel.digest() == self.PINNED_DIGEST
+        assert resumed.digest() == self.PINNED_DIGEST
+        keys = sorted(p.stem for p in (tmp_path / CHECKPOINT_KIND).iterdir())
+        assert keys == self.PINNED_KEYS
+
+
 class TestEmptyShards:
     """(day, BS) units sampling zero sessions stay identity elements."""
 

@@ -15,15 +15,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.histogram import LOG_GRID
 from repro.campaign.sketches import (
+    _DURATION_GRID_SPAN,
+    _VOLUME_GRID_SPAN,
     DEFAULT_HLL_SEED,
     CampaignAggregate,
     FixedHistogram,
     HyperLogLog,
     Moments,
     SketchError,
+    _bit_length,
+    _splitmix64,
     merge_all,
+    session_fingerprints,
 )
+from repro.dataset.aggregation import DURATION_EDGES
 from repro.dataset.records import SERVICE_NAMES, SessionTable
 
 #: Small HLL precision for property tests: 256 registers keep each
@@ -288,3 +295,229 @@ class TestHyperLogLog:
         b = HyperLogLog(precision=12, seed=999).add_items(items)
         assert not np.array_equal(a.registers, b.registers)
         assert b.estimate() == pytest.approx(5000, rel=4 * b.relative_error())
+
+
+# ----------------------------------------------------------------------
+# Differential tests of the fold's fast pieces against plain oracles
+# ----------------------------------------------------------------------
+def searchsorted_bins(edges: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The binning oracle: binary search, clipped into the grid."""
+    idx = np.searchsorted(edges, values, side="right") - 1
+    return np.clip(idx, 0, edges.size - 2)
+
+
+#: The campaign's two grids, with the coordinate map and outer-edge span
+#: under which :meth:`CampaignAggregate.update_table` bins each.
+GRIDS = {
+    "volume": (LOG_GRID, lambda x: x, _VOLUME_GRID_SPAN),
+    "duration": (DURATION_EDGES, np.log, _DURATION_GRID_SPAN),
+}
+
+#: Awkward floats: signed zeros, subnormals, the smallest normal, huge
+#: magnitudes and infinities.
+SPECIAL_FLOATS = [
+    0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+    1e-300, -1.0, 1e300, -1e300, np.inf, -np.inf,
+]
+
+
+def fast_bins(grid: str, values: np.ndarray) -> np.ndarray:
+    edges, coordinate, span = GRIDS[grid]
+    values = np.asarray(values, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        coords = coordinate(values)
+    return FixedHistogram(edges)._bin_index(values, coords, *span)
+
+
+class TestBinIndex:
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
+    def test_every_edge_and_its_neighbours(self, grid):
+        edges = GRIDS[grid][0]
+        probes = np.concatenate([
+            edges,
+            np.nextafter(edges, -np.inf),
+            np.nextafter(edges, np.inf),
+            0.5 * (edges[:-1] + edges[1:]),
+        ])
+        assert np.array_equal(
+            fast_bins(grid, probes), searchsorted_bins(edges, probes)
+        )
+
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
+    def test_out_of_range_infinities_and_subnormals(self, grid):
+        edges = GRIDS[grid][0]
+        width = edges[-1] - edges[0]
+        probes = np.array(
+            SPECIAL_FLOATS
+            + [edges[0] - width, edges[0] - 1e-9, edges[-1] + 1e-9,
+               edges[-1] + width, edges[-1] * 1e6]
+        )
+        assert np.array_equal(
+            fast_bins(grid, probes), searchsorted_bins(edges, probes)
+        )
+
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.floats(allow_nan=False), min_size=1, max_size=50),
+        st.lists(st.floats(-6.0, 1e6, allow_nan=False), max_size=50),
+    )
+    def test_matches_binary_search_on_drawn_floats(self, grid, wide, near):
+        probes = np.asarray(wide + near, dtype=np.float64)
+        edges = GRIDS[grid][0]
+        assert np.array_equal(
+            fast_bins(grid, probes), searchsorted_bins(edges, probes)
+        )
+
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
+    def test_float32_columns_bin_like_the_update_path(self, grid):
+        """Session columns are float32: every such value bins exactly."""
+        edges = GRIDS[grid][0]
+        rng = np.random.default_rng(7)
+        low, high = float(edges[0]), float(edges[-1])
+        pad = 0.1 * (high - low)
+        values = rng.uniform(low - pad, high + pad, 50_000).astype(np.float32)
+        probes = values.astype(np.float64)
+        assert np.array_equal(
+            fast_bins(grid, probes), searchsorted_bins(edges, probes)
+        )
+
+
+class TestBitLength:
+    def test_powers_of_two_and_their_predecessors(self):
+        words = [0] + [1 << k for k in range(64)] + [
+            (1 << k) - 1 for k in range(1, 65)
+        ]
+        got = _bit_length(np.array(words, dtype=np.uint64))
+        assert got.tolist() == [w.bit_length() for w in words]
+
+    def test_random_words(self):
+        rng = np.random.default_rng(11)
+        words = rng.integers(
+            0, np.iinfo(np.uint64).max, 20_000, dtype=np.uint64,
+            endpoint=True,
+        )
+        # Shift some words right so every bit length is well represented.
+        words >>= rng.integers(0, 64, words.size).astype(np.uint64)
+        got = _bit_length(words)
+        assert got.tolist() == [int(w).bit_length() for w in words]
+
+
+def reference_registers(hashes: np.ndarray, precision: int) -> list[int]:
+    """HLL registers from a plain per-hash loop over Python ints."""
+    registers = [0] * (1 << precision)
+    tail_bits = 64 - precision
+    for h in (int(x) for x in hashes):
+        bucket = h >> tail_bits
+        tail = h & ((1 << tail_bits) - 1)
+        registers[bucket] = max(
+            registers[bucket], tail_bits + 1 - tail.bit_length()
+        )
+    return registers
+
+
+class TestHllRegistersAgainstLoop:
+    @pytest.mark.parametrize("precision", [4, 10, 14, 18])
+    def test_registers_match_per_hash_loop(self, precision):
+        rng = np.random.default_rng(precision)
+        hashes = rng.integers(
+            0, np.iinfo(np.uint64).max, 4000, dtype=np.uint64,
+            endpoint=True,
+        )
+        tail_bits = 64 - precision
+        # Tails of every length, the all-zero tail (maximal rank) and
+        # the all-ones tail, in buckets spread over the register file.
+        lengths = rng.integers(0, tail_bits + 1, hashes.size)
+        mask = np.array(
+            [(1 << int(n)) - 1 for n in lengths], dtype=np.uint64
+        )
+        crafted = (hashes & ~np.uint64((1 << tail_bits) - 1)) | (hashes & mask)
+        edge_cases = np.array(
+            [0, (1 << tail_bits) - 1, 1, (1 << 64) - 1, 1 << (tail_bits - 1)],
+            dtype=np.uint64,
+        )
+        everything = np.concatenate([hashes, crafted, edge_cases])
+        sketch = HyperLogLog(precision=precision).add_hashes(everything)
+        assert sketch.registers.tolist() == reference_registers(
+            everything, precision
+        )
+
+
+def chained_fingerprints(table: SessionTable, seed: int) -> np.ndarray:
+    """Session fingerprints as chained out-of-place splitmix64 rounds."""
+    h = np.full(len(table), np.uint64(seed), dtype=np.uint64)
+    for column in (
+        table.service_idx.astype(np.uint64),
+        table.bs_id.astype(np.int64).astype(np.uint64),
+        table.day.astype(np.uint64),
+        table.start_minute.astype(np.uint64),
+        table.duration_s.view(np.uint32).astype(np.uint64),
+        table.volume_mb.view(np.uint32).astype(np.uint64),
+        table.truncated.astype(np.uint64),
+    ):
+        h = _splitmix64(h ^ column)
+    return h
+
+
+class TestSessionFingerprints:
+    @settings(max_examples=40, deadline=None)
+    @given(session_tables(), st.integers(0, 2**64 - 1))
+    def test_in_place_rounds_equal_chained_rounds(self, table, seed):
+        assert np.array_equal(
+            session_fingerprints(table, seed),
+            chained_fingerprints(table, seed),
+        )
+
+    def test_negative_identifiers_hash_as_twos_complement(self):
+        table = SessionTable(
+            np.array([0], dtype=np.int16),
+            np.array([-3], dtype=np.int32),
+            np.array([0], dtype=np.int16),
+            np.array([5], dtype=np.int16),
+            np.array([2.0], dtype=np.float32),
+            np.array([0.5], dtype=np.float32),
+            np.array([True]),
+            validate=False,
+        )
+        assert np.array_equal(
+            session_fingerprints(table, 9), chained_fingerprints(table, 9)
+        )
+
+
+# ----------------------------------------------------------------------
+# Bad values fail at the sketch boundary, before any state changes
+# ----------------------------------------------------------------------
+def valid_rows(n: int = 32) -> dict[str, np.ndarray]:
+    rng = np.random.default_rng(3)
+    return {
+        "service_idx": rng.integers(
+            0, len(SERVICE_NAMES), n
+        ).astype(np.int16),
+        "bs_id": rng.integers(0, 4, n).astype(np.int32),
+        "day": np.zeros(n, dtype=np.int16),
+        "start_minute": rng.integers(0, 1440, n).astype(np.int16),
+        "duration_s": rng.uniform(1.0, 600.0, n).astype(np.float32),
+        "volume_mb": rng.uniform(0.01, 50.0, n).astype(np.float32),
+        "truncated": rng.random(n) < 0.1,
+    }
+
+
+class TestNonFiniteValuesRejected:
+    @pytest.mark.parametrize("column", ["volume_mb", "duration_s"])
+    @pytest.mark.parametrize(
+        "bad", [np.nan, np.inf, -np.inf, 0.0, -0.0, -1.0],
+        ids=["nan", "+inf", "-inf", "zero", "negative-zero", "negative"],
+    )
+    def test_update_raises_and_leaves_the_aggregate_untouched(
+        self, column, bad
+    ):
+        agg = CampaignAggregate.from_table(
+            SessionTable(**valid_rows()), n_units=1, precision=P
+        )
+        before = agg.digest()
+        rows = valid_rows()
+        rows[column][len(rows[column]) // 2] = bad
+        table = SessionTable(**rows, validate=False)
+        with pytest.raises(SketchError, match=column):
+            agg.update_table(table)
+        assert agg.digest() == before

@@ -55,6 +55,22 @@ class TestConstruction:
                 truncated=np.array([False]),
             )
 
+    @pytest.mark.parametrize("column", ["duration_s", "volume_mb"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -0.0])
+    def test_non_finite_or_non_positive_values_rejected(self, column, bad):
+        values = {"duration_s": np.array([1.0, 2.0]),
+                  "volume_mb": np.array([1.0, 2.0])}
+        values[column][1] = bad
+        with pytest.raises(RecordsError, match="finite and positive"):
+            SessionTable(
+                service_idx=np.array([0, 0]),
+                bs_id=np.array([0, 0]),
+                day=np.array([0, 0]),
+                start_minute=np.array([0, 1]),
+                truncated=np.array([False, False]),
+                **values,
+            )
+
     def test_bad_service_index_rejected(self):
         with pytest.raises(RecordsError):
             SessionTable(
