@@ -1405,7 +1405,7 @@ def generate_campaign_reference(
     for day in range(n_days):
         for bs_id, arrival in generator.arrival_models.items():
             # The order coupling IS the regression baseline being kept.
-            # repro-lint: disable-next-line=D106 -- pinned pre-seed-stream reference
+            # repro-lint: disable-next-line=W403 -- pinned pre-seed-stream reference
             counts = arrival.sample_day(rng)
             n = int(counts.sum())
             if n == 0:
@@ -1415,7 +1415,7 @@ def generate_campaign_reference(
                 np.arange(MINUTES_PER_DAY, dtype=np.int64), counts
             )
             service_idx, volumes, durations = (
-                # repro-lint: disable-next-line=D106 -- same pinned draw.
+                # repro-lint: disable-next-line=W403 -- same pinned draw.
                 generator.bank.sample_mixed_sessions(generator.mix, rng, n)
             )
             pieces.append(

@@ -55,8 +55,8 @@ class ColumnSpec:
 
 #: The session-table schema — the single source of truth for column names,
 #: order and dtypes across the whole stack (tables, arenas, spool format,
-#: lint).  Mirrored (deliberately, as a drift tripwire) by
-#: ``repro.lint.structure.SESSION_TABLE_DTYPES``.
+#: lint).  ``repro.lint.structure.SESSION_TABLE_DTYPES`` spells the same
+#: dtypes for the S301 rule; a lint test pins it to :data:`SCHEMA_DTYPES`.
 TABLE_SCHEMA: tuple[ColumnSpec, ...] = (
     ColumnSpec("service_idx", "int16"),
     ColumnSpec("bs_id", "int32"),
@@ -263,10 +263,11 @@ class SessionTable:
     volume_mb   : float32 — served traffic volume in MB
     truncated   : bool — whether the session was cut by mobility/handover
 
-    Construction coerces dtypes and, by default, runs the full
-    :meth:`validate` pass.  Hot paths that hand over columns already known
-    to be schema-exact (arena views, concatenations of validated tables)
-    pass ``validate=False`` and get O(1) construction.
+    Construction coerces each column to its :data:`SCHEMA_DTYPES` dtype
+    and, by default, runs the full :meth:`validate` pass.  Hot paths that
+    hand over columns already known to be schema-exact (arena views,
+    concatenations of validated tables) pass ``validate=False`` and get
+    O(1) construction.
     """
 
     COLUMNS = tuple(spec.name for spec in TABLE_SCHEMA)
@@ -283,13 +284,16 @@ class SessionTable:
         *,
         validate: bool = True,
     ):
-        self.service_idx = np.asarray(service_idx, dtype=np.int16)
-        self.bs_id = np.asarray(bs_id, dtype=np.int32)
-        self.day = np.asarray(day, dtype=np.int16)
-        self.start_minute = np.asarray(start_minute, dtype=np.int16)
-        self.duration_s = np.asarray(duration_s, dtype=np.float32)
-        self.volume_mb = np.asarray(volume_mb, dtype=np.float32)
-        self.truncated = np.asarray(truncated, dtype=bool)
+        dtypes = SCHEMA_DTYPES
+        self.service_idx = np.asarray(service_idx, dtype=dtypes["service_idx"])
+        self.bs_id = np.asarray(bs_id, dtype=dtypes["bs_id"])
+        self.day = np.asarray(day, dtype=dtypes["day"])
+        self.start_minute = np.asarray(
+            start_minute, dtype=dtypes["start_minute"]
+        )
+        self.duration_s = np.asarray(duration_s, dtype=dtypes["duration_s"])
+        self.volume_mb = np.asarray(volume_mb, dtype=dtypes["volume_mb"])
+        self.truncated = np.asarray(truncated, dtype=dtypes["truncated"])
         if validate:
             self.validate()
 

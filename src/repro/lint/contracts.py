@@ -1,29 +1,22 @@
 """C-series rules: cross-artifact contract drift.
 
-The repository ships machine- and human-readable contracts next to the
-code they describe: the OpenAPI document of the statistics service, the
-CLI reference in ``docs/USAGE.md``, the metric-name tables in
-``docs/OBSERVABILITY.md``.  Each drifts one PR at a time — a route
-lands without a spec entry, a flag without a usage line, a counter
-without a table row.  These rules pin the artifacts to the code by
-comparing harvested literals (and names recovered through the metric
-dataflow) against the checked-in files on every lint run.
+The repository ships human-readable contracts next to the code they
+describe: the CLI reference in ``docs/USAGE.md`` and the metric-name
+tables in ``docs/OBSERVABILITY.md``.  Each drifts one PR at a time — a
+flag without a usage line, a counter without a table row.  These rules
+pin the documents to the code by comparing harvested literals (and
+names recovered through the metric dataflow) against the checked-in
+files on every lint run.  (The OpenAPI document is pinned by the serve
+test suite, which drives every documented and every served route.)
 """
 
 from __future__ import annotations
 
-import json
 import re
 from typing import Iterable, Iterator
 
 from .graph import MetricLiteral, ProjectGraph
 from .rules import Finding, ProjectRule, register
-
-#: The serve module whose route literals define the HTTP surface.
-HTTP_MODULE = "src/repro/serve/http.py"
-
-#: The checked-in OpenAPI document of the statistics service.
-OPENAPI_ARTIFACT = "schemas/openapi-serve.json"
 
 #: The CLI module whose ``add_argument`` flags define the command surface.
 CLI_MODULE = "src/repro/cli.py"
@@ -43,66 +36,6 @@ def _mentions(text: str, token: str) -> bool:
     """
     pattern = re.escape(token) + r"(?![A-Za-z0-9_.\-])"
     return re.search(pattern, text) is not None
-
-
-@register
-class RouteSpecDrift(ProjectRule):
-    """C601 — served routes and the OpenAPI document disagree."""
-
-    id = "C601"
-    title = "HTTP route missing from the OpenAPI contract (or vice versa)"
-    severity = "error"
-    rationale = (
-        "schemas/openapi-serve.json is the machine-readable contract "
-        "clients and the CI smoke test validate against.  A route "
-        "handled in serve/http.py but absent from the document is an "
-        "undocumented surface; a documented path no handler answers is "
-        "a broken promise.  Both directions are checked on every run."
-    )
-
-    artifacts = (OPENAPI_ARTIFACT,)
-
-    def check_project(self, project: ProjectGraph) -> Iterable[Finding]:
-        """Compare route literals in http.py with the spec's paths."""
-        module = project.modules.get(HTTP_MODULE)
-        if module is None or not module.route_literals:
-            return
-        spec_text = project.artifact(OPENAPI_ARTIFACT)
-        spec_paths: set[str] = set()
-        if spec_text is not None:
-            try:
-                payload = json.loads(spec_text)
-                spec_paths = set(payload.get("paths", {}))
-            except (json.JSONDecodeError, AttributeError):
-                yield self.project_finding(
-                    OPENAPI_ARTIFACT, 1, 0,
-                    f"{OPENAPI_ARTIFACT} is not a JSON object with "
-                    "'paths'; the route contract cannot be checked",
-                    symbol="paths",
-                )
-                return
-        seen: set[str] = set()
-        for route, line, col in module.route_literals:
-            if route in seen:
-                continue
-            seen.add(route)
-            if route not in spec_paths:
-                yield self.project_finding(
-                    HTTP_MODULE, line, col,
-                    f"route {route!r} is handled here but missing from "
-                    f"{OPENAPI_ARTIFACT}; regenerate the document "
-                    "(python -m repro.serve.openapi) after adding the "
-                    "operation",
-                    symbol="<module>",
-                )
-        for path in sorted(spec_paths - seen):
-            yield self.project_finding(
-                OPENAPI_ARTIFACT, 1, 0,
-                f"{OPENAPI_ARTIFACT} documents {path!r} but no literal "
-                f"in {HTTP_MODULE} handles it; remove the operation or "
-                "wire the route",
-                symbol="paths",
-            )
 
 
 @register

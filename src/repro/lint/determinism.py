@@ -6,15 +6,15 @@ equal root seeds produce byte-identical campaigns regardless of worker
 count, chunking or host platform.  Every rule in this pack encodes one
 way that guarantee has broken — or nearly broken — in practice:
 module-level RNG state, unseeded generators, wall-clock reads, default
-integer dtypes that differ across platforms, gzip headers embedding
-mtimes, and shared-RNG draws whose results depend on container
-iteration order.
+integer dtypes that differ across platforms and gzip headers embedding
+mtimes.  Shared-RNG draws whose results depend on container iteration
+order need the call graph; the whole-program W403 rule reports them.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .rules import FileContext, Finding, Rule, register
 
@@ -225,102 +225,6 @@ class ImplicitDtypeInHotPath(Rule):
                     f"{name.replace('numpy', 'np')} without dtype= infers a "
                     "platform-dependent dtype in a generator hot path",
                 )
-
-
-def _assigned_names(stmts: Iterable[ast.stmt]) -> set[str]:
-    """Names bound anywhere inside the given statements."""
-    bound: set[str] = set()
-    for stmt in stmts:
-        for node in ast.walk(stmt):
-            if isinstance(node, ast.Name) and isinstance(
-                node.ctx, (ast.Store, ast.Del)
-            ):
-                bound.add(node.id)
-            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                bound.add(node.name)
-    return bound
-
-
-def _rng_args(call: ast.Call) -> Iterator[str]:
-    """Names of rng-looking arguments of one call."""
-    values = list(call.args) + [kw.value for kw in call.keywords]
-    for value in values:
-        if isinstance(value, ast.Name) and rng_named(value.id):
-            yield value.id
-
-
-def rng_named(name: str) -> bool:
-    """The name heuristic D106 (and the W-series) treat as a generator."""
-    return name == "rng" or name.endswith("_rng")
-
-
-def is_view_loop(iter_expr: ast.expr) -> bool:
-    """Whether a loop iterates a dict view (possibly wrapped).
-
-    Shared with the whole-program W403 rule, which generalizes D106
-    across call boundaries.
-    """
-    expr = iter_expr
-    # Unwrap enumerate()/sorted()/list()/tuple() one level at a time.
-    while (
-        isinstance(expr, ast.Call)
-        and isinstance(expr.func, ast.Name)
-        and expr.func.id in ("enumerate", "sorted", "list", "tuple")
-        and expr.args
-    ):
-        expr = expr.args[0]
-    return (
-        isinstance(expr, ast.Call)
-        and isinstance(expr.func, ast.Attribute)
-        and expr.func.attr in ("items", "values", "keys")
-    )
-
-
-@register
-class SharedRngInCollectionLoop(Rule):
-    """D106 — one shared RNG consumed while looping a container view."""
-
-    id = "D106"
-    title = "shared RNG drawn inside collection-order loop"
-    severity = "error"
-    rationale = (
-        "Draws from one Generator inside a loop over dict views make "
-        "every unit's samples depend on the container's iteration order "
-        "and on all units before it — the exact coupling the per-(day, BS) "
-        "seed streams removed.  Derive a fresh rng per unit from "
-        "unit_seed()/stream_rng() instead."
-    )
-
-    def applies_to(self, ctx: FileContext) -> bool:
-        """Scope: the deterministic compute layers."""
-        return ctx.in_dirs(
-            "src/repro/core", "src/repro/dataset", "src/repro/pipeline"
-        )
-
-    def check(self, ctx: FileContext) -> Iterable[Finding]:
-        """Flag rng args consumed inside ``for … in x.items()/…`` bodies."""
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.For):
-                continue
-            if not self._is_view_loop(node.iter):
-                continue
-            local = _assigned_names(node.body) | _assigned_names([node.target])
-            for call in ast.walk(ast.Module(body=node.body, type_ignores=[])):
-                if not isinstance(call, ast.Call):
-                    continue
-                for rng_name in _rng_args(call):
-                    if rng_name not in local:
-                        yield self.finding(
-                            ctx, call,
-                            f"shared generator {rng_name!r} consumed inside "
-                            "a dict-view loop couples results to iteration "
-                            "order; derive a per-unit seed stream",
-                        )
-
-    @staticmethod
-    def _is_view_loop(iter_expr: ast.expr) -> bool:
-        """Whether the loop iterates a dict view (possibly wrapped)."""
-        return is_view_loop(iter_expr)
 
 
 @register

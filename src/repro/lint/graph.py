@@ -2,8 +2,8 @@
 
 The per-file rules see exactly one file; the W/T/C series reason about
 flows *between* files — a generator handed through two call boundaries,
-a lock acquired in one method and required by another, a route literal
-that must match a checked-in OpenAPI document.  This module provides the
+a lock acquired in one method and required by another, a CLI flag that
+must appear in the checked-in usage document.  This module provides the
 substrate: a :class:`ModuleSummary` distilled independently from each
 file (picklable, so the driver's worker processes can extract summaries
 during the ordinary parallel fan-out) and a :class:`ProjectGraph` the
@@ -21,11 +21,9 @@ graph afterwards.
 from __future__ import annotations
 
 import ast
-import re
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
-from .determinism import is_view_loop
 from .parallelism import EXECUTOR_NAMES, SUBMIT_METHODS, _receiver_name
 from .rules import FileContext
 
@@ -80,9 +78,6 @@ LOCK_CONSTRUCTORS = frozenset(
         "threading.BoundedSemaphore",
     }
 )
-
-#: HTTP route literals (the C601 harvest): ``/v1/...`` or ``/metrics``.
-ROUTE_PATTERN = re.compile(r"^/(?:v[0-9]+(?:/[A-Za-z0-9_.\-]+)+|metrics)$")
 
 
 @dataclass(frozen=True)
@@ -174,7 +169,6 @@ class ModuleSummary:
     module: str
     functions: tuple[FunctionSummary, ...]
     classes: tuple[ClassSummary, ...]
-    route_literals: tuple[tuple[str, int, int], ...]
     flag_literals: tuple[tuple[str, int, int], ...]
     metric_literals: tuple[MetricLiteral, ...]
 
@@ -198,6 +192,28 @@ def _lock_name(expr: ast.expr) -> str | None:
     if isinstance(expr, ast.Name) and "lock" in expr.id.lower():
         return expr.id
     return None
+
+
+def is_view_loop(iter_expr: ast.expr) -> bool:
+    """Whether a loop iterates a dict view (possibly wrapped).
+
+    Every call inside such a loop is marked ``in_view_loop``, which is
+    what the W403 rule inspects.
+    """
+    expr = iter_expr
+    # Unwrap enumerate()/sorted()/list()/tuple() one level at a time.
+    while (
+        isinstance(expr, ast.Call)
+        and isinstance(expr.func, ast.Name)
+        and expr.func.id in ("enumerate", "sorted", "list", "tuple")
+        and expr.args
+    ):
+        expr = expr.args[0]
+    return (
+        isinstance(expr, ast.Call)
+        and isinstance(expr.func, ast.Attribute)
+        and expr.func.attr in ("items", "values", "keys")
+    )
 
 
 def _assigned_names(nodes: Sequence[ast.AST]) -> set[str]:
@@ -529,22 +545,15 @@ def _scan_class(
 
 def _literal_harvest(
     ctx: FileContext,
-) -> tuple[
-    tuple[tuple[str, int, int], ...],
-    tuple[tuple[str, int, int], ...],
-    tuple[MetricLiteral, ...],
-]:
-    """Route, CLI-flag and metric-name literals of one file."""
-    routes: list[tuple[str, int, int]] = []
+) -> tuple[tuple[tuple[str, int, int], ...], tuple[MetricLiteral, ...]]:
+    """CLI-flag and metric-name literals of one file."""
     flags: list[tuple[str, int, int]] = []
     metrics: list[MetricLiteral] = []
     for node in ast.walk(ctx.tree):
-        if isinstance(node, ast.Constant) and isinstance(node.value, str):
-            if ROUTE_PATTERN.match(node.value):
-                routes.append((node.value, node.lineno, node.col_offset))
-        if not isinstance(node, ast.Call):
-            continue
-        if not isinstance(node.func, ast.Attribute):
+        if not (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+        ):
             continue
         if node.func.attr == "add_argument":
             for arg in node.args:
@@ -571,7 +580,7 @@ def _literal_harvest(
                         symbol=ctx.symbol(node),
                     )
                 )
-    return tuple(routes), tuple(flags), tuple(metrics)
+    return tuple(flags), tuple(metrics)
 
 
 def summarize_context(ctx: FileContext) -> ModuleSummary:
@@ -599,13 +608,12 @@ def summarize_context(ctx: FileContext) -> ModuleSummary:
                     functions.append(
                         _scan_function(ctx, child, node.name, resolver)
                     )
-    routes, flags, metrics = _literal_harvest(ctx)
+    flags, metrics = _literal_harvest(ctx)
     return ModuleSummary(
         path=ctx.path,
         module=module,
         functions=tuple(functions),
         classes=tuple(classes),
-        route_literals=routes,
         flag_literals=flags,
         metric_literals=metrics,
     )
@@ -625,7 +633,7 @@ class ProjectGraph:
 
     Holds every module summary keyed by path, a flat function index
     keyed by qualname (the call-graph nodes), the class index, and the
-    non-Python artifacts (OpenAPI document, docs) the C-series rules
+    non-Python artifacts (the usage and metric docs) the C-series rules
     compare code against.  The dataflow solution is computed once, on
     first use, and shared across rules.
     """

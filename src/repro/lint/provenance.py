@@ -1,8 +1,9 @@
 """W-series rules: whole-program RNG and seed provenance.
 
-The per-file D rules catch a generator misused in plain sight; these
-rules follow generators and seeds *across call boundaries* using the
-project graph and its dataflow solution.  The invariant is the paper
+These rules follow generators and seeds *across call boundaries*
+using the project graph and its dataflow solution (W403 also reports
+the draw made in plain sight inside a dict-view loop, since the loop
+facts live in the graph).  The invariant is the paper
 reproduction's seed-stream discipline: every unit of work — one
 (day, BS) cell — draws from its own generator, minted from the run's
 root seed and the unit key, and no generator's consumption order may
@@ -14,7 +15,6 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 from .dataflow import DataflowResult, arg_bindings
-from .determinism import rng_named
 from .graph import (
     RNG_CONSTRUCTORS,
     SEED_SINK_CALLEES,
@@ -32,15 +32,10 @@ PROVENANCE_DIRS = (
     "src/repro/campaign",
 )
 
-#: Where D106's per-file name heuristic already patrols; W403 skips
-#: rng-named arguments there to avoid double-reporting.
-D106_DIRS = ("src/repro/core", "src/repro/dataset", "src/repro/pipeline")
 
-
-def _in_dirs(path: str, prefixes: tuple[str, ...]) -> bool:
-    return any(
-        path == p or path.startswith(p.rstrip("/") + "/") for p in prefixes
-    )
+def rng_named(name: str) -> bool:
+    """The name heuristic the W-series rules treat as a generator."""
+    return name == "rng" or name.endswith("_rng")
 
 
 def _short(qualname: str | None) -> str:
@@ -165,51 +160,60 @@ class SeedReusedAcrossUnits(ProjectRule):
 
 @register
 class SharedRngBehindCall(ProjectRule):
-    """W403 — D106 generalized: order-coupled draws two calls away."""
+    """W403 — a shared RNG drawn, directly or through calls, in a view loop."""
 
     id = "W403"
-    title = "shared RNG drawn through a call inside a collection loop"
+    title = "shared RNG drawn inside a collection loop"
     severity = "error"
     rationale = (
-        "D106 flags a shared generator consumed directly inside a "
-        "dict-view loop; the same coupling hides behind any function "
-        "that (transitively) draws from a parameter.  Iterating a view "
-        "and calling helper(gen) where helper eventually draws from "
-        "gen makes every unit's samples depend on iteration order.  "
-        "The dataflow fixpoint supplies the draws-from relation."
+        "Draws from one Generator inside a loop over dict views make "
+        "every unit's samples depend on the container's iteration order "
+        "and on all units before it — the coupling the per-(day, BS) "
+        "seed streams removed.  Two spellings are flagged at any call in "
+        "the loop: an rng-named argument (rng, *_rng) bound outside the "
+        "loop, and any shared value handed to a function that "
+        "(transitively, per the dataflow fixpoint) draws from that "
+        "parameter.  Derive a fresh rng per unit from stream_rng() instead."
     )
 
     def check_project(self, project: ProjectGraph) -> Iterable[Finding]:
-        """Flag shared values fed to drawing callees inside view loops."""
+        """Flag shared generators consumed by calls inside view loops."""
         flow = project.dataflow()
         for function in project.functions_under(*PROVENANCE_DIRS):
-            d106_patrols = _in_dirs(function.path, D106_DIRS)
             for call in function.calls:
-                if not call.in_view_loop or call.callee is None:
-                    continue
-                callee = project.functions.get(call.callee)
-                if callee is None:
-                    continue
-                draws = flow.draws_from(callee.qualname)
-                if not draws:
+                if not call.in_view_loop:
                     continue
                 seen: set[str] = set()
-                for caller_name, callee_param in arg_bindings(call, callee):
-                    if callee_param not in draws:
+                for name, message in self._consumed(project, flow, call):
+                    if name in call.loop_bound or name in seen:
                         continue
-                    if caller_name in call.loop_bound:
-                        continue
-                    if d106_patrols and rng_named(caller_name):
-                        continue  # D106 already reports this spelling
-                    if caller_name in seen:
-                        continue
-                    seen.add(caller_name)
+                    seen.add(name)
                     yield self.project_finding(
-                        function.path, call.line, call.col,
+                        function.path, call.line, call.col, message,
+                        symbol=call.symbol,
+                    )
+
+    @staticmethod
+    def _consumed(
+        project: ProjectGraph, flow: DataflowResult, call: CallSite
+    ) -> Iterator[tuple[str, str]]:
+        """(argument, message) of each generator the call may draw from."""
+        callee = project.functions.get(call.callee or "")
+        if callee is not None:
+            draws = flow.draws_from(callee.qualname)
+            for caller_name, callee_param in arg_bindings(call, callee):
+                if callee_param in draws:
+                    yield caller_name, (
                         f"shared generator {caller_name!r} is consumed by "
                         f"{callee.name}() (which draws from parameter "
                         f"{callee_param!r}) inside a dict-view loop; "
                         "results couple to iteration order — derive a "
-                        "per-unit stream instead",
-                        symbol=call.symbol,
+                        "per-unit stream instead"
                     )
+        for name in list(call.args) + [value for _, value in call.keywords]:
+            if name is not None and rng_named(name):
+                yield name, (
+                    f"shared generator {name!r} consumed inside a "
+                    "dict-view loop couples results to iteration order; "
+                    "derive a per-unit seed stream"
+                )

@@ -240,7 +240,7 @@ class ProjectRule(Rule):
     They run serially in the parent process after the per-file fan-out,
     so parallel runs stay byte-identical; :meth:`check` is therefore a
     no-op and :meth:`check_project` is the entry point.  ``artifacts``
-    names the repo-relative non-Python files (OpenAPI document, docs)
+    names the repo-relative non-Python files (the reference docs)
     the rule compares code against; the driver loads them from the
     repository root and tests inject them directly.
     """

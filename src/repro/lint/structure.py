@@ -2,7 +2,7 @@
 
 Cross-cutting data contracts — the canonical
 :class:`~repro.dataset.records.SessionTable` column schema, the
-telemetry event shapes of ``schemas/telemetry-events.schema.json``, the
+telemetry event shapes of ``repro.obs.schema.EVENT_FIELDS``, the
 src/tests dependency direction — are easy to drift one call site at a
 time.  These rules pin every literal occurrence to the single canonical
 definition.
@@ -15,10 +15,10 @@ from typing import Iterable
 
 from .rules import FileContext, Finding, Rule, register
 
-#: Canonical SessionTable column dtypes (numpy attribute names).  Must
-#: mirror the Columns section of repro.dataset.records.SessionTable —
-#: a deliberate double entry: schema changes must touch both files, so
-#: the lint run turns accidental drift into a review-time error.
+#: Canonical SessionTable column dtypes (numpy attribute names), as
+#: spelled at call sites.  The first spelling of each column must equal
+#: ``repro.dataset.records.SCHEMA_DTYPES``; the lint test suite pins
+#: that, so this copy cannot go stale.
 SESSION_TABLE_DTYPES: dict[str, tuple[str, ...]] = {
     "service_idx": ("numpy.int16",),
     "bs_id": ("numpy.int32",),
@@ -36,15 +36,6 @@ _ARRAY_CONSTRUCTORS = frozenset(
         "numpy.ones", "numpy.full", "numpy.arange", "numpy.repeat",
     }
 )
-
-#: Canonical dtype *strings* per column, as they appear in the
-#: ``ColumnSpec`` descriptors of ``repro.dataset.records.TABLE_SCHEMA``
-#: (the arena-era schema source of truth).  Derived from
-#: :data:`SESSION_TABLE_DTYPES` so the two spellings cannot drift apart.
-_COLUMN_DTYPE_STRINGS: dict[str, str] = {
-    name: allowed[0].removeprefix("numpy.").removesuffix("_")
-    for name, allowed in SESSION_TABLE_DTYPES.items()
-}
 
 
 @register
@@ -70,12 +61,7 @@ class SessionTableDtypeDrift(Rule):
         """Flag explicit column dtypes that contradict the schema."""
         for call in ctx.calls():
             name = ctx.qualified(call.func)
-            if name is None:
-                continue
-            if name.endswith("ColumnSpec"):
-                yield from self._check_column_spec(ctx, call)
-                continue
-            if not name.endswith("SessionTable"):
+            if name is None or not name.endswith("SessionTable"):
                 continue
             for kw in call.keywords:
                 if kw.arg not in SESSION_TABLE_DTYPES:
@@ -91,47 +77,6 @@ class SessionTableDtypeDrift(Rule):
                         f"{dtype.replace('numpy', 'np')}, schema says "
                         f"{allowed[0].replace('numpy', 'np')}",
                     )
-
-    def _check_column_spec(
-        self, ctx: FileContext, call: ast.Call
-    ) -> Iterable[Finding]:
-        """Pin ``ColumnSpec(name, dtype)`` literals to the canonical schema.
-
-        The schema descriptor tuple in ``repro.dataset.records`` is the
-        arena-era source of truth; a descriptor renaming a column or
-        changing its dtype string must also touch the lint mirror here, so
-        accidental drift fails the lint run instead of silently changing
-        artifact layouts.
-        """
-        args: dict[str, ast.expr] = {}
-        for position, arg in enumerate(call.args[:2]):
-            args[("name", "dtype")[position]] = arg
-        for kw in call.keywords:
-            if kw.arg in ("name", "dtype"):
-                args[kw.arg] = kw.value
-        name_node, dtype_node = args.get("name"), args.get("dtype")
-        if not (
-            isinstance(name_node, ast.Constant)
-            and isinstance(name_node.value, str)
-            and isinstance(dtype_node, ast.Constant)
-            and isinstance(dtype_node.value, str)
-        ):
-            return
-        column, dtype = name_node.value, dtype_node.value
-        expected = _COLUMN_DTYPE_STRINGS.get(column)
-        if expected is None:
-            yield self.finding(
-                ctx, name_node,
-                f"ColumnSpec names unknown column {column!r}; the lint "
-                "schema mirror knows "
-                f"{sorted(_COLUMN_DTYPE_STRINGS)}",
-            )
-        elif dtype != expected:
-            yield self.finding(
-                ctx, dtype_node,
-                f"ColumnSpec for {column!r} declares dtype {dtype!r}, "
-                f"schema says {expected!r}",
-            )
 
     @staticmethod
     def _explicit_dtype(ctx: FileContext, value: ast.expr) -> str | None:
@@ -232,198 +177,6 @@ class TelemetryEventShape(Rule):
         elif isinstance(receiver, ast.Attribute):
             name = receiver.attr
         return name is not None and name.lstrip("_").endswith("sink")
-
-
-@register
-class TelemetrySchemaDrift(Rule):
-    """S306 — span kinds / event shapes drifting from the checked-in schema."""
-
-    id = "S306"
-    title = "telemetry constants drift from the checked-in schema"
-    severity = "error"
-    rationale = (
-        "schemas/telemetry-events.schema.json is the published contract "
-        "of the event stream; SPAN_KINDS and EVENT_FIELDS are its "
-        "generators.  Editing either without regenerating the document "
-        "(python -m repro.obs.schema) ships a schema that rejects the "
-        "very streams the library emits.  The rule pins the literals to "
-        "the checked-in file, so drift fails lint instead of CI "
-        "validation after the run already happened."
-    )
-
-    #: Repo-relative path of the checked-in contract (lint runs from the
-    #: repository root, like every other file-set default).
-    _SCHEMA_PATH = "schemas/telemetry-events.schema.json"
-
-    def applies_to(self, ctx: FileContext) -> bool:
-        """Scope: the library package (the constants live in repro.obs)."""
-        return ctx.in_dirs("src")
-
-    def check(self, ctx: FileContext) -> Iterable[Finding]:
-        """Compare SPAN_KINDS / EVENT_FIELDS literals to the document."""
-        assignments = list(self._constant_assignments(ctx))
-        if not assignments:
-            return
-        document = self._load_document()
-        if document is None:
-            return
-        span_enum, event_fields = self._document_shapes(document)
-        for name, node, value in assignments:
-            if name == "SPAN_KINDS":
-                yield from self._check_span_kinds(ctx, node, value, span_enum)
-            else:
-                yield from self._check_event_fields(
-                    ctx, node, value, event_fields
-                )
-
-    # -- literal extraction -------------------------------------------
-    @staticmethod
-    def _constant_assignments(
-        ctx: FileContext,
-    ) -> Iterable[tuple[str, ast.AST, ast.expr]]:
-        """Module-level ``SPAN_KINDS`` / ``EVENT_FIELDS`` assignments."""
-        for node in ctx.tree.body:
-            targets: list[ast.expr] = []
-            value: ast.expr | None = None
-            if isinstance(node, ast.Assign):
-                targets, value = node.targets, node.value
-            elif isinstance(node, ast.AnnAssign) and node.value is not None:
-                targets, value = [node.target], node.value
-            for target in targets:
-                if isinstance(target, ast.Name) and target.id in (
-                    "SPAN_KINDS", "EVENT_FIELDS"
-                ):
-                    yield target.id, node, value
-
-    @staticmethod
-    def _string_elements(value: ast.expr) -> list[str] | None:
-        """String items of a tuple/list/set literal (None if not one)."""
-        if not isinstance(value, (ast.Tuple, ast.List, ast.Set)):
-            return None
-        items = []
-        for element in value.elts:
-            if not (
-                isinstance(element, ast.Constant)
-                and isinstance(element.value, str)
-            ):
-                return None
-            items.append(element.value)
-        return items
-
-    # -- checked-in document ------------------------------------------
-    def _load_document(self) -> dict | None:
-        """The checked-in schema document, or None when unavailable."""
-        import json
-        from pathlib import Path
-
-        candidates = (
-            Path(self._SCHEMA_PATH),
-            # Fallback for lint runs not rooted at the repository: the
-            # source checkout keeps schemas/ three levels above this file.
-            Path(__file__).resolve().parents[3] / self._SCHEMA_PATH,
-        )
-        for path in candidates:
-            try:
-                return json.loads(path.read_text(encoding="utf-8"))
-            except (OSError, ValueError):
-                continue
-        return None
-
-    @staticmethod
-    def _document_shapes(
-        document: dict,
-    ) -> tuple[set[str], dict[str, set[str]]]:
-        """Span-kind enum and per-event property names of the document."""
-        span_enum: set[str] = set()
-        event_fields: dict[str, set[str]] = {}
-        for variant in document.get("oneOf", []):
-            title = variant.get("title", "")
-            if not title.endswith(" event"):
-                continue
-            event_type = title[: -len(" event")]
-            properties = variant.get("properties", {})
-            event_fields[event_type] = set(properties)
-            if event_type == "span":
-                kind = properties.get("kind", {})
-                span_enum = set(kind.get("enum", []))
-        return span_enum, event_fields
-
-    # -- comparisons ---------------------------------------------------
-    def _check_span_kinds(
-        self,
-        ctx: FileContext,
-        node: ast.AST,
-        value: ast.expr,
-        span_enum: set[str],
-    ) -> Iterable[Finding]:
-        kinds = self._string_elements(value)
-        if kinds is None or not span_enum:
-            return
-        for extra in [kind for kind in kinds if kind not in span_enum]:
-            yield self.finding(
-                ctx, node,
-                f"span kind {extra!r} is not in the checked-in schema; "
-                "regenerate with python -m repro.obs.schema",
-            )
-        for missing in sorted(span_enum - set(kinds)):
-            yield self.finding(
-                ctx, node,
-                f"checked-in schema allows span kind {missing!r} that "
-                "SPAN_KINDS no longer declares; regenerate with "
-                "python -m repro.obs.schema",
-            )
-
-    def _check_event_fields(
-        self,
-        ctx: FileContext,
-        node: ast.AST,
-        value: ast.expr,
-        event_fields: dict[str, set[str]],
-    ) -> Iterable[Finding]:
-        if not isinstance(value, ast.Dict) or not event_fields:
-            return
-        declared: dict[str, ast.expr] = {}
-        for key, item in zip(value.keys, value.values):
-            if isinstance(key, ast.Constant) and isinstance(key.value, str):
-                declared[key.value] = item
-        for event_type, fields_node in declared.items():
-            expected = event_fields.get(event_type)
-            if expected is None:
-                yield self.finding(
-                    ctx, fields_node,
-                    f"event type {event_type!r} is not in the checked-in "
-                    "schema; regenerate with python -m repro.obs.schema",
-                )
-                continue
-            if not isinstance(fields_node, ast.Dict):
-                continue
-            names = {
-                key.value
-                for key in fields_node.keys
-                if isinstance(key, ast.Constant)
-                and isinstance(key.value, str)
-            }
-            for extra in sorted(names - expected):
-                yield self.finding(
-                    ctx, fields_node,
-                    f"field {extra!r} of the {event_type!r} event is not "
-                    "in the checked-in schema; regenerate with "
-                    "python -m repro.obs.schema",
-                )
-            for missing in sorted(expected - names):
-                yield self.finding(
-                    ctx, fields_node,
-                    f"checked-in schema requires field {missing!r} of the "
-                    f"{event_type!r} event that EVENT_FIELDS no longer "
-                    "declares; regenerate with python -m repro.obs.schema",
-                )
-        for missing_type in sorted(set(event_fields) - set(declared)):
-            yield self.finding(
-                ctx, node,
-                f"checked-in schema declares event type {missing_type!r} "
-                "that EVENT_FIELDS no longer defines; regenerate with "
-                "python -m repro.obs.schema",
-            )
 
 
 @register

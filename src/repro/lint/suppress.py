@@ -9,7 +9,7 @@ justification may follow after `` -- `` and is strongly encouraged::
 
     rng = np.random.default_rng()  # repro-lint: disable=D102 -- fuzz only
 
-    # repro-lint: disable-next-line=D106 -- pinned reference loop
+    # repro-lint: disable-next-line=W403 -- pinned reference loop
     counts = arrival.sample_day(rng)
 
 Unknown rule ids in a directive are themselves reported as findings

@@ -56,7 +56,7 @@ from .store import (
     DigestMismatchError,
     StoreError,
 )
-from .views import RELEASE_SCOPE
+from .views import RELEASE_SCOPE, canonical_body
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..obs.telemetry import Telemetry
@@ -261,9 +261,7 @@ class ServeApp:
             body = (
                 document
                 if isinstance(document, str)
-                else json.dumps(
-                    document, sort_keys=True, separators=(",", ":")
-                )
+                else canonical_body(document)
             ).encode("utf-8")
             start_response(
                 _STATUS_LINES[200],
@@ -455,10 +453,14 @@ class ServeApp:
             return self._error(
                 start_response, 401, "missing or invalid bearer token"
             )
-        try:
-            length = int(environ.get("CONTENT_LENGTH") or 0)
-        except ValueError:
-            length = 0
+        header = (environ.get("CONTENT_LENGTH") or "0").strip()
+        if not (header.isascii() and header.isdigit()):
+            self._count("serve.rejected")
+            return self._error(
+                start_response, 400,
+                f"invalid Content-Length header: {header!r}",
+            )
+        length = int(header)
         if length > MAX_SUBMIT_BYTES:
             self._count("serve.rejected")
             return self._error(start_response, 413, "submission too large")
@@ -473,9 +475,7 @@ class ServeApp:
             return self._error(start_response, 400, str(exc))
         self._count("serve.submissions")
         self._gauge_campaigns()
-        body = json.dumps(
-            outcome, sort_keys=True, separators=(",", ":")
-        ).encode("utf-8")
+        body = canonical_body(outcome).encode("utf-8")
         start_response(
             _STATUS_LINES[200],
             [

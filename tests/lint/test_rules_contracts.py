@@ -7,72 +7,11 @@ driver loads them from the repository root; an absent artifact means
 
 from __future__ import annotations
 
-import json
-
 from .helpers import run_project_rule
 
-HTTP = "src/repro/serve/http.py"
 CLI = "src/repro/cli.py"
-SPEC = "schemas/openapi-serve.json"
 USAGE = "docs/USAGE.md"
 OBS = "docs/OBSERVABILITY.md"
-
-
-def _spec(*paths: str) -> str:
-    return json.dumps({"paths": {p: {"get": {}} for p in paths}})
-
-
-class TestC601RouteSpecDrift:
-    ROUTES = """
-        ROUTES = {
-            "/v1/things": "things",
-            "/v1/things/detail": "detail",
-        }
-    """
-
-    def test_in_sync_is_clean(self):
-        findings = run_project_rule(
-            "C601",
-            {HTTP: self.ROUTES},
-            {SPEC: _spec("/v1/things", "/v1/things/detail")},
-        )
-        assert findings == []
-
-    def test_route_missing_from_spec(self):
-        findings = run_project_rule(
-            "C601",
-            {HTTP: self.ROUTES},
-            {SPEC: _spec("/v1/things")},
-        )
-        assert len(findings) == 1
-        assert findings[0].path == HTTP
-        assert "/v1/things/detail" in findings[0].message
-
-    def test_spec_path_without_handler(self):
-        findings = run_project_rule(
-            "C601",
-            {HTTP: self.ROUTES},
-            {SPEC: _spec("/v1/things", "/v1/things/detail", "/v1/ghost")},
-        )
-        assert len(findings) == 1
-        assert findings[0].path == SPEC
-        assert findings[0].symbol == "paths"
-        assert "/v1/ghost" in findings[0].message
-
-    def test_unparseable_spec_is_one_finding(self):
-        findings = run_project_rule(
-            "C601", {HTTP: self.ROUTES}, {SPEC: "not json"}
-        )
-        assert len(findings) == 1
-        assert findings[0].path == SPEC
-
-    def test_no_http_module_is_clean(self):
-        findings = run_project_rule(
-            "C601",
-            {"src/repro/core/x.py": "VALUE = 1"},
-            {SPEC: _spec("/v1/things")},
-        )
-        assert findings == []
 
 
 class TestC602CliUsageDrift:

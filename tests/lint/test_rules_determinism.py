@@ -174,53 +174,6 @@ class TestD105ImplicitDtype:
         assert run_rule("D105", bad, "src/repro/analysis/x.py") == []
 
 
-class TestD106SharedRngInLoop:
-    """D106 flags shared-generator draws inside dict-view loops."""
-
-    def test_flags_rng_in_items_loop(self):
-        """One rng threaded through ``.items()`` couples unit order."""
-        bad = """
-            def gen(profiles, rng):
-                out = []
-                for name, prof in profiles.items():
-                    out.append(prof.sample(rng))
-                return out
-        """
-        found = run_rule("D106", bad)
-        assert len(found) == 1
-        assert "iteration order" in found[0].message
-
-    def test_flags_sorted_wrapped_view(self):
-        """``sorted(d.items())`` still consumes the shared stream in order."""
-        bad = """
-            def gen(profiles, day_rng):
-                for name, prof in sorted(profiles.items()):
-                    prof.sample(day_rng)
-        """
-        assert len(run_rule("D106", bad)) == 1
-
-    def test_allows_per_unit_rng(self):
-        """An rng derived inside the loop body is the sanctioned pattern."""
-        good = """
-            import numpy as np
-
-            def gen(profiles, root_seed):
-                for name, prof in profiles.items():
-                    unit_rng = np.random.default_rng(seed_for(root_seed, name))
-                    prof.sample(unit_rng)
-        """
-        assert run_rule("D106", good) == []
-
-    def test_allows_non_view_loop(self):
-        """Looping a plain list does not trigger the rule."""
-        good = """
-            def gen(units, rng):
-                for unit in units:
-                    unit.sample(rng)
-        """
-        assert run_rule("D106", good) == []
-
-
 class TestD107GzipMtime:
     """D107 wants ``mtime=`` pinned on every library gzip write."""
 

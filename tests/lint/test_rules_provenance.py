@@ -253,8 +253,8 @@ class TestW403SharedRngBehindCall:
         )
         assert findings == []
 
-    def test_rng_named_arg_left_to_d106_in_core(self):
-        """Inside D106's patrol area the per-file rule owns the spelling."""
+    def test_rng_named_arg_flagged_in_core(self):
+        """The dataflow case reports once, not again as an rng-named arg."""
         findings = run_project_rule(
             "W403",
             {
@@ -267,6 +267,71 @@ class TestW403SharedRngBehindCall:
                     for key, cfg in units.items():
                         out[key] = helper(rng)
                     return out
+                """,
+            },
+        )
+        assert len(findings) == 1
+        assert "helper()" in findings[0].message
+
+    def test_flags_rng_in_items_loop(self):
+        """One rng threaded through ``.items()`` couples unit order."""
+        findings = run_project_rule(
+            "W403",
+            {
+                "src/repro/core/sweep.py": """
+                def gen(profiles, rng):
+                    out = []
+                    for name, prof in profiles.items():
+                        out.append(prof.sample(rng))
+                    return out
+                """,
+            },
+        )
+        assert len(findings) == 1
+        assert "iteration order" in findings[0].message
+
+    def test_flags_sorted_wrapped_view(self):
+        """``sorted(d.items())`` still consumes the shared stream in order."""
+        findings = run_project_rule(
+            "W403",
+            {
+                "src/repro/core/sweep.py": """
+                def gen(profiles, day_rng):
+                    for name, prof in sorted(profiles.items()):
+                        prof.sample(day_rng)
+                """,
+            },
+        )
+        assert len(findings) == 1
+
+    def test_allows_per_unit_rng(self):
+        """An rng derived inside the loop body is the sanctioned pattern."""
+        findings = run_project_rule(
+            "W403",
+            {
+                "src/repro/core/sweep.py": """
+                import numpy as np
+
+                def gen(profiles, root_seed):
+                    for name, prof in profiles.items():
+                        unit_rng = np.random.default_rng(
+                            seed_for(root_seed, name)
+                        )
+                        prof.sample(unit_rng)
+                """,
+            },
+        )
+        assert findings == []
+
+    def test_allows_rng_in_list_loop(self):
+        """Looping a plain list does not trigger the rule."""
+        findings = run_project_rule(
+            "W403",
+            {
+                "src/repro/core/sweep.py": """
+                def gen(units, rng):
+                    for unit in units:
+                        unit.sample(rng)
                 """,
             },
         )

@@ -9,6 +9,7 @@ never ``pytest.approx``.
 
 from __future__ import annotations
 
+import io
 import json
 import threading
 import urllib.request
@@ -276,6 +277,34 @@ class TestSubmitAuth:
             headers={"Authorization": f"Bearer {TOKEN}"},
         )
         assert status == 400
+
+
+class TestSubmitContentLength:
+    @pytest.mark.parametrize("header", ["-1", "abc", "1.5", "+4"])
+    def test_invalid_header_rejected_before_reading(self, app, store, header):
+        """A negative length must not turn into ``read(-1)`` (read to EOF)."""
+        stream = io.BytesIO(b'{"hello":1}')
+        environ = {
+            "REQUEST_METHOD": "POST",
+            "PATH_INFO": "/v1/submit",
+            "QUERY_STRING": "",
+            "CONTENT_LENGTH": header,
+            "HTTP_AUTHORIZATION": f"Bearer {TOKEN}",
+            "wsgi.input": stream,
+        }
+        captured = {}
+
+        def start_response(status, response_headers):
+            captured["status"] = int(status.split()[0])
+
+        campaigns = store.campaign_names()
+        rejected = app.metrics.counter("serve.rejected").value
+        body = b"".join(app(environ, start_response))
+        assert captured["status"] == 400
+        assert "Content-Length" in as_json(body)["error"]
+        assert stream.tell() == 0
+        assert store.campaign_names() == campaigns
+        assert app.metrics.counter("serve.rejected").value == rejected + 1
 
 
 @pytest.fixture()

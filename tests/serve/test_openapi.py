@@ -9,16 +9,50 @@ without regenerating the file fails here, not in a consumer.
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import pytest
 
 from repro.serve import ServeApp, openapi_spec, validate_response
+from repro.serve import http as serve_http
 from repro.serve.openapi import SPEC_PATH, render_spec
+from repro.serve.views import canonical_body
 
 from .conftest import as_json, wsgi_get, wsgi_post
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
+
+TOKEN = "spec-token"
+
+#: Quoted route literals in serve/http.py: ``"/v1/..."`` or ``"/metrics"``.
+ROUTE_LITERAL = re.compile(r'"(/(?:v[0-9]+(?:/[A-Za-z0-9_.\-]+)+|metrics))"')
+
+#: Operation keys of an OpenAPI path item.
+HTTP_METHODS = ("get", "put", "post", "delete", "options", "head", "patch")
+
+#: Every path the spec documents a GET for.
+GET_PATHS = [
+    path for path, item in openapi_spec()["paths"].items() if "get" in item
+]
+
+
+@pytest.fixture()
+def app(store, aggregate, bank, tmp_path):
+    """An app with one campaign, its manifest and a model release."""
+    from repro.core.arrivals import ArrivalModel
+    from repro.io.params import save_release
+
+    store.ingest_aggregate("camp", aggregate.to_dict())
+    store.ingest_manifest("camp", {"run_id": "r1"})
+    release = tmp_path / "release.json"
+    save_release(
+        release,
+        bank,
+        {"d1": ArrivalModel(peak_mu=2.0, peak_sigma=0.5, night_scale=0.4)},
+    )
+    store.ingest_release(release)
+    return ServeApp(store, token=TOKEN)
 
 
 class TestSpecFile:
@@ -48,31 +82,60 @@ class TestSpecFile:
             if "get" in item and path != "/metrics":
                 assert "304" in item["get"]["responses"], path
 
-    def test_spec_covers_served_routes(self):
+    def test_spec_covers_served_routes(self, app):
+        """Spec and app agree in both directions, checked at runtime.
+
+        Every documented (path, method) must reach a handler (no 404/405),
+        and every route the app answers — its route table plus the
+        literals ``_handle`` dispatches on — must be documented.
+        """
         spec = openapi_spec()
-        assert "/v1/openapi.json" in spec["paths"]
-        assert "/metrics" in spec["paths"]
+        for path, item in spec["paths"].items():
+            for method in (m for m in HTTP_METHODS if m in item):
+                if method == "post":
+                    status = wsgi_post(app, path, b"")[0]
+                else:
+                    status = wsgi_get(app, path, method=method.upper())[0]
+                assert status not in (404, 405), (method, path, status)
+        source = Path(serve_http.__file__).read_text(encoding="utf-8")
+        served = set(app._routes) | set(ROUTE_LITERAL.findall(source))
+        assert sorted(served - set(spec["paths"])) == []
+
+
+class TestServedBodies:
+    """Content-Length / ETag invariants of every documented GET."""
+
+    @pytest.mark.parametrize("path", GET_PATHS)
+    def test_length_and_canonical_body(self, app, path):
+        status, headers, body = wsgi_get(app, path)
+        assert status == 200
+        assert int(headers["Content-Length"]) == len(body)
+        if path == "/v1/openapi.json":
+            assert body == render_spec().encode("utf-8")
+        elif path != "/metrics":
+            assert body == canonical_body(as_json(body)).encode("utf-8")
+
+    @pytest.mark.parametrize("path", GET_PATHS)
+    def test_head_and_revalidation(self, app, path):
+        _, headers, _ = wsgi_get(app, path)
+        status, head_headers, head_body = wsgi_get(app, path, method="HEAD")
+        assert status == 200
+        assert head_body == b""
+        if path == "/metrics":
+            # Live exposition: no tag, and the body changes per request.
+            assert "ETag" not in headers and "ETag" not in head_headers
+            return
+        assert head_headers["Content-Length"] == headers["Content-Length"]
+        assert head_headers["ETag"] == headers["ETag"]
+        status, revalidated, empty = wsgi_get(
+            app, path, headers={"If-None-Match": headers["ETag"]}
+        )
+        assert status == 304
+        assert empty == b""
+        assert revalidated["ETag"] == headers["ETag"]
 
 
 class TestLiveConformance:
-    TOKEN = "spec-token"
-
-    @pytest.fixture()
-    def app(self, store, aggregate, bank, tmp_path):
-        from repro.core.arrivals import ArrivalModel
-        from repro.io.params import save_release
-
-        store.ingest_aggregate("camp", aggregate.to_dict())
-        store.ingest_manifest("camp", {"run_id": "r1"})
-        release = tmp_path / "release.json"
-        save_release(
-            release,
-            bank,
-            {"d1": ArrivalModel(peak_mu=2.0, peak_sigma=0.5, night_scale=0.4)},
-        )
-        store.ingest_release(release)
-        return ServeApp(store, token=self.TOKEN)
-
     @pytest.mark.parametrize(
         "path",
         [
@@ -117,7 +180,7 @@ class TestLiveConformance:
             app,
             "/v1/submit",
             line,
-            headers={"Authorization": f"Bearer {self.TOKEN}"},
+            headers={"Authorization": f"Bearer {TOKEN}"},
         )
         assert status == 200
         validate_response("/v1/submit", 200, as_json(body), method="post")
