@@ -38,7 +38,14 @@ from ..core.generator import (
     coerce_root_seed,
 )
 from ..dataset.records import SessionArena
-from ..io.cache import ArtifactCache, CacheError, content_key
+from ..io.cache import (
+    ArtifactCache,
+    CacheError,
+    Encoded,
+    canonical_json,
+    content_key,
+    json_member,
+)
 from ..obs.progress import ProgressTracker
 from ..pipeline.context import mint_trace_id
 from ..pipeline.executors import ParallelExecutor, SerialExecutor, peak_rss_mb
@@ -232,14 +239,19 @@ def _run_shard(item: tuple) -> dict:
 
 
 def _key_prefix(
-    mix, bank, root_seed: int, precision: int, hll_seed: int
-) -> dict:
-    """The shard-key parts every shard of one campaign run shares.
+    mix, bank, arrivals: dict, root_seed: int, precision: int, hll_seed: int
+) -> tuple[dict[str, Encoded], dict[int, str]]:
+    """The encoded shard-key parts every shard of one campaign run shares.
 
-    Built once per :func:`run_campaign` call: re-encoding and re-parsing
-    the model bank for every shard dominated key derivation.
+    Built once per :func:`run_campaign` call: the run-wide parts (models,
+    root seed and the sketch configuration including the serialization
+    format version) as :class:`~repro.io.cache.Encoded` canonical JSON,
+    and one ``"bs_id":model`` member per BS arrival model.  A BS lies in
+    one shard per day, so its model is encoded once per run rather than
+    once per shard; re-encoding the model bank for every shard used to
+    dominate key derivation.
     """
-    return {
+    parts = {
         "artifact": "campaign-shard-aggregate",
         "format": SKETCH_FORMAT_VERSION,
         "mix": mix.probabilities(),
@@ -247,24 +259,35 @@ def _key_prefix(
         "seed": root_seed,
         "hll": {"precision": precision, "seed": hll_seed},
     }
+    prefix = {name: Encoded(canonical_json(part)) for name, part in parts.items()}
+    members = {
+        bs_id: json_member(str(bs_id), canonical_json(model))
+        for bs_id, model in arrivals.items()
+    }
+    return prefix, members
 
 
-def _shard_key(shard: Shard, arrivals: dict, prefix: dict) -> str:
+def _shard_key(
+    shard: Shard, prefix: dict[str, Encoded], members: dict[int, str]
+) -> str:
     """Content key of one shard's checkpoint aggregate.
 
     Derived from the facts that determine the aggregate's bytes: the
-    run-wide ``prefix`` (:func:`_key_prefix`: models, root seed and the
-    sketch configuration including the serialization format version),
-    the shard's own arrival models and its unit set.  The chunk budget is
+    run-wide ``prefix`` and the shard's own arrival-model ``members``
+    (both from :func:`_key_prefix`) and its unit set.  The members are
+    joined in ``str(bs_id)`` order — JSON's sorted-key order (``"10"``
+    before ``"9"``) — so the key is byte-identical to encoding the
+    shard's ``{str(bs_id): model}`` mapping whole.  The chunk budget is
     deliberately excluded — chunking cannot change the aggregate, so
     re-running with a different budget still resumes.  Scoping the
     arrival models to the shard's BSs means growing the campaign never
     invalidates already-completed shards.
     """
+    arrivals = ",".join(members[bs_id] for bs_id in sorted(shard.bs_ids, key=str))
     return content_key(
         {
             **prefix,
-            "arrivals": {str(bs_id): arrivals[bs_id] for bs_id in shard.bs_ids},
+            "arrivals": Encoded("{" + arrivals + "}"),
             "day": shard.day,
             "bs_ids": list(shard.bs_ids),
         }
@@ -364,14 +387,17 @@ def run_campaign(
     resumed: dict[int, CampaignAggregate] = {}
     pending: list[Shard] = []
     if cache is not None:
-        prefix = _key_prefix(
-            generator.mix, generator.bank, root_seed, hll_precision, hll_seed
+        prefix, members = _key_prefix(
+            generator.mix,
+            generator.bank,
+            generator.arrival_models,
+            root_seed,
+            hll_precision,
+            hll_seed,
         )
     for shard in shards:
         if cache is not None:
-            keys[shard.index] = _shard_key(
-                shard, generator.arrival_models, prefix
-            )
+            keys[shard.index] = _shard_key(shard, prefix, members)
         restored = None
         if (
             cache is not None

@@ -48,6 +48,12 @@ class CacheError(ValueError):
     """Raised on invalid cache keys or unreadable cached artifacts."""
 
 
+#: Types :func:`describe` returns as they are.  Exact types only: a
+#: subclass (``IntEnum``, ``np.float64``, ``np.bool_``) takes the branch
+#: that converts it.
+_PLAIN_TYPES = frozenset({int, float, str, bool, type(None)})
+
+
 def describe(value: Any) -> Any:
     """Canonical JSON-able description of a configuration value.
 
@@ -56,12 +62,19 @@ def describe(value: Any) -> Any:
     Used to build stable content keys from configuration objects without
     each of them having to implement a serialization protocol.
     """
+    kind = type(value)
+    if kind in _PLAIN_TYPES:
+        return value
+    if kind is dict:
+        return {str(k): describe(v) for k, v in value.items()}
+    if kind is list or kind is tuple:
+        return [describe(v) for v in value]
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         described = {
             field.name: describe(getattr(value, field.name))
             for field in dataclasses.fields(value)
         }
-        described["__type__"] = type(value).__name__
+        described["__type__"] = kind.__name__
         return described
     if isinstance(value, enum.Enum):
         return value.value
@@ -73,22 +86,64 @@ def describe(value: Any) -> Any:
         return {str(k): describe(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [describe(v) for v in value]
-    if value is None or isinstance(value, (bool, int, float, str)):
+    if isinstance(value, (bool, int, float, str)):
         return value
     raise CacheError(
-        f"cannot build a content key from a {type(value).__name__} value"
+        f"cannot build a content key from a {kind.__name__} value"
     )
+
+
+def canonical_json(value: Any) -> str:
+    """The canonical JSON text of ``value`` that content keys hash.
+
+    :func:`describe` output serialized with sorted keys and no
+    whitespace — the same text whether ``value`` is encoded on its own or
+    nested inside a larger canonical document.
+    """
+    return json.dumps(describe(value), sort_keys=True, separators=(",", ":"))
+
+
+def json_member(name: str, fragment: str) -> str:
+    """One ``"name":fragment`` member of a canonical JSON object.
+
+    Joining members in sorted-``name`` order with ``","`` inside braces
+    gives exactly the text ``json.dumps(..., sort_keys=True)`` writes.
+    """
+    return f"{json.dumps(name)}:{fragment}"
+
+
+class Encoded:
+    """A content-key part already encoded as :func:`canonical_json` text.
+
+    :func:`content_key` splices the text in as it is, so a part shared by
+    many keys is encoded once instead of once per key.  Only top-level
+    parts may be pre-encoded: :func:`describe` rejects a nested one.
+    """
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str):
+        self.text = text
 
 
 def content_key(parts: Mapping[str, Any]) -> str:
     """Stable hexadecimal digest of a configuration mapping.
 
-    The mapping is canonicalized with :func:`describe`, serialized with
-    sorted keys and hashed with SHA-256; the first 20 hex characters are
-    plenty against accidental collisions.
+    The mapping is serialized as :func:`canonical_json` — each top-level
+    value either encoded here or, when wrapped in :class:`Encoded`, taken
+    as already encoded — and hashed with SHA-256; the first 20 hex
+    characters are plenty against accidental collisions.  Pre-encoded and
+    plain parts give the same key.
     """
-    payload = describe(dict(parts, cache_format=CACHE_FORMAT_VERSION))
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    named = {str(name): value for name, value in parts.items()}
+    named["cache_format"] = CACHE_FORMAT_VERSION
+    text = "{" + ",".join(
+        json_member(
+            name,
+            value.text if isinstance(value, Encoded) else canonical_json(value),
+        )
+        for name, value in sorted(named.items())
+    ) + "}"
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:20]
 
 

@@ -37,6 +37,7 @@ way.
 
 from __future__ import annotations
 
+import functools
 import hmac
 import json
 import socketserver
@@ -79,6 +80,13 @@ _STATUS_LINES = {
     413: "413 Payload Too Large",
     500: "500 Internal Server Error",
 }
+
+
+#: Methods a read route answers; the first one names its 405 message.
+_READ_METHODS = ("GET", "HEAD")
+
+#: WSGI-level handler of one route: ``(environ, start_response) -> body``.
+_Responder = Callable[[dict, Any], Iterable[bytes]]
 
 
 class ServeError(RuntimeError):
@@ -140,14 +148,28 @@ class ServeApp:
         self.metrics: MetricsRegistry = (
             telemetry.metrics if telemetry is not None else MetricsRegistry()
         )
-        self._routes: dict[str, Callable[[dict, dict], tuple]] = {
-            "/v1/campaigns": self._get_campaigns,
-            "/v1/services/shares": self._get_shares,
-            "/v1/pdf/volume": self._get_volume_pdf,
-            "/v1/pdf/duration": self._get_duration_pdf,
-            "/v1/arrivals/deciles": self._get_arrivals,
-            "/v1/fidelity": self._get_fidelity,
-            "/v1/openapi.json": self._get_openapi,
+
+        def document(getter: Callable[[dict, dict], tuple]) -> _Responder:
+            return functools.partial(self._serve_document, getter)
+
+        #: The served route set: path -> (allowed methods, responder).  The
+        #: 404/405 dispatch and the RED ``route`` label both read it.
+        self._routes: dict[str, tuple[tuple[str, ...], _Responder]] = {
+            "/v1/campaigns": (_READ_METHODS, document(self._get_campaigns)),
+            "/v1/services/shares": (_READ_METHODS, document(self._get_shares)),
+            "/v1/pdf/volume": (_READ_METHODS, document(self._get_volume_pdf)),
+            "/v1/pdf/duration": (
+                _READ_METHODS,
+                document(self._get_duration_pdf),
+            ),
+            "/v1/arrivals/deciles": (
+                _READ_METHODS,
+                document(self._get_arrivals),
+            ),
+            "/v1/fidelity": (_READ_METHODS, document(self._get_fidelity)),
+            "/v1/openapi.json": (_READ_METHODS, document(self._get_openapi)),
+            "/v1/submit": (("POST",), self._post_submit),
+            "/metrics": (_READ_METHODS, self._get_metrics),
         }
         #: Campaign-scoped routes whose responses carry ``X-Repro-Trace``.
         self._traced_routes = frozenset(
@@ -180,11 +202,7 @@ class ServeApp:
         """
         method = environ.get("REQUEST_METHOD", "GET")
         path = environ.get("PATH_INFO", "/")
-        route = (
-            path
-            if path in self._routes or path in ("/v1/submit", "/metrics")
-            else "other"
-        )
+        route = path if path in self._routes else "other"
         captured: dict[str, Any] = {"status": 500}
 
         def recording_start_response(status, headers, *args):
@@ -221,61 +239,62 @@ class ServeApp:
         path = environ.get("PATH_INFO", "/")
         self._count("serve.requests")
         try:
-            if path == "/metrics":
-                if method not in ("GET", "HEAD"):
-                    return self._error(start_response, 405, "GET only")
-                return self._get_metrics(environ, start_response, method)
-            if path == "/v1/submit":
-                if method != "POST":
-                    return self._error(start_response, 405, "POST only")
-                return self._post_submit(environ, start_response)
-            handler = self._routes.get(path)
-            if handler is None:
+            route = self._routes.get(path)
+            if route is None:
                 return self._error(
                     start_response, 404, f"no such endpoint: {path}"
                 )
-            if method not in ("GET", "HEAD"):
-                return self._error(start_response, 405, "GET only")
-            query = {
-                key: values[-1]
-                for key, values in parse_qs(
-                    environ.get("QUERY_STRING", "")
-                ).items()
-            }
-            status, document, etag = handler(environ, query)
-            if status != 200:
-                return self._error(start_response, status, document)
-            trace_headers: list[tuple[str, str]] = []
-            if path in self._traced_routes:
-                trace = self._campaign_trace(query)
-                if trace:
-                    environ["repro.serve.trace"] = trace
-                    trace_headers.append(("X-Repro-Trace", trace))
-            if _etag_matches(environ.get("HTTP_IF_NONE_MATCH"), etag):
-                self._count("serve.not_modified")
-                start_response(
-                    _STATUS_LINES[304],
-                    [("ETag", f'"{etag}"')] + trace_headers,
-                )
-                return [b""]
-            body = (
-                document
-                if isinstance(document, str)
-                else canonical_body(document)
-            ).encode("utf-8")
-            start_response(
-                _STATUS_LINES[200],
-                [
-                    ("Content-Type", "application/json"),
-                    ("Content-Length", str(len(body))),
-                    ("ETag", f'"{etag}"'),
-                    ("Cache-Control", "no-cache"),
-                ]
-                + trace_headers,
-            )
-            return [body] if method == "GET" else [b""]
+            methods, respond = route
+            if method not in methods:
+                return self._error(start_response, 405, f"{methods[0]} only")
+            return respond(environ, start_response)
         except _BadRequest as exc:
             return self._error(start_response, 400, str(exc))
+
+    def _serve_document(
+        self,
+        getter: Callable[[dict, dict], tuple],
+        environ: dict,
+        start_response,
+    ) -> Iterable[bytes]:
+        """Answer a GET/HEAD of one document route, ETag/304 included.
+
+        ``getter(environ, query)`` returns ``(status, document, etag)``.
+        """
+        query = {
+            key: values[-1]
+            for key, values in parse_qs(environ.get("QUERY_STRING", "")).items()
+        }
+        status, document, etag = getter(environ, query)
+        if status != 200:
+            return self._error(start_response, status, document)
+        trace_headers: list[tuple[str, str]] = []
+        if environ.get("PATH_INFO") in self._traced_routes:
+            trace = self._campaign_trace(query)
+            if trace:
+                environ["repro.serve.trace"] = trace
+                trace_headers.append(("X-Repro-Trace", trace))
+        if _etag_matches(environ.get("HTTP_IF_NONE_MATCH"), etag):
+            self._count("serve.not_modified")
+            start_response(
+                _STATUS_LINES[304],
+                [("ETag", f'"{etag}"')] + trace_headers,
+            )
+            return [b""]
+        body = (
+            document if isinstance(document, str) else canonical_body(document)
+        ).encode("utf-8")
+        start_response(
+            _STATUS_LINES[200],
+            [
+                ("Content-Type", "application/json"),
+                ("Content-Length", str(len(body))),
+                ("ETag", f'"{etag}"'),
+                ("Cache-Control", "no-cache"),
+            ]
+            + trace_headers,
+        )
+        return [body] if environ.get("REQUEST_METHOD", "GET") == "GET" else [b""]
 
     # -- helpers ---------------------------------------------------------
     def _error(
@@ -414,9 +433,7 @@ class ServeApp:
         return 200, render_spec(), spec_etag()
 
     # -- GET /metrics ------------------------------------------------------
-    def _get_metrics(
-        self, environ: dict, start_response, method: str
-    ) -> Iterable[bytes]:
+    def _get_metrics(self, environ: dict, start_response) -> Iterable[bytes]:
         """Prometheus text exposition of the app's metrics registry."""
         body = render_exposition(self.metrics.snapshot()).encode("utf-8")
         start_response(
@@ -426,7 +443,7 @@ class ServeApp:
                 ("Content-Length", str(len(body))),
             ],
         )
-        return [body] if method == "GET" else [b""]
+        return [body] if environ.get("REQUEST_METHOD", "GET") == "GET" else [b""]
 
     # -- POST /v1/submit --------------------------------------------------
     def _authorized(self, environ: dict) -> bool:

@@ -210,6 +210,64 @@ class TestPinnedDigest:
         assert keys == self.PINNED_KEYS
 
 
+
+class TestPinnedMultiDayKeys:
+    """Shard keys of a plan in which every BS lies in two shards.
+
+    Two days of two 16-BS shards each: every BS's arrival model enters
+    one key per day, and each shard's BS ids sort differently as strings
+    (``"10" < "9"``) than as numbers.  ``PINNED_KEYS`` and
+    ``PINNED_DIGEST`` were recorded with per-shard key derivation that
+    encoded every key part afresh for each shard, so a key assembled from
+    shared pre-encoded fragments must reproduce them byte for byte —
+    otherwise checkpoints already on disk would stop resuming.
+    """
+
+    PINNED_DIGEST = (
+        "14127fd3d5510ff0d876675eb386052d1c94f0eff594d7f7da87d7070f4bf2ff"
+    )
+    PINNED_KEYS = [
+        "9f4de412c87dfb4fe32e",
+        "b75f96e7855a1023e12a",
+        "c9346f5f1a95f94515c3",
+        "e766dbf4801a6786fb3d",
+    ]
+
+    @pytest.fixture(scope="class")
+    def decile_generator(self, bank):
+        from repro.dataset.network import decile_peak_rate
+
+        arrivals = {}
+        for bs_id in range(32):
+            peak = decile_peak_rate(1 + bs_id % 9) * 0.1
+            arrivals[bs_id] = ArrivalModel(peak, peak / 10.0, peak / 8.0)
+        mix = ServiceMix.from_table1().restricted_to(bank.services())
+        return TrafficGenerator(arrivals, mix, bank)
+
+    def test_serial_parallel_and_resumed_runs_give_the_pinned_keys(
+        self, decile_generator, tmp_path
+    ):
+        from repro.campaign.driver import CHECKPOINT_KIND
+
+        cache = ArtifactCache(tmp_path)
+        serial = run_campaign(
+            decile_generator, 2, 1, shard_bs=16, cache=cache
+        )
+        with ParallelExecutor(jobs=2) as executor:
+            parallel = run_campaign(
+                decile_generator, 2, 1, shard_bs=16, executor=executor
+            )
+        resumed = run_campaign(
+            decile_generator, 2, 1, shard_bs=16, cache=cache
+        )
+        assert serial.computed_shards == resumed.resumed_shards == 4
+        assert resumed.computed_shards == 0
+        keys = sorted(p.stem for p in (tmp_path / CHECKPOINT_KIND).iterdir())
+        assert serial.digest() == self.PINNED_DIGEST
+        assert parallel.digest() == self.PINNED_DIGEST
+        assert resumed.digest() == self.PINNED_DIGEST
+        assert keys == self.PINNED_KEYS
+
 class TestEmptyShards:
     """(day, BS) units sampling zero sessions stay identity elements."""
 

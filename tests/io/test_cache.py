@@ -1,20 +1,30 @@
 """Tests for the content-keyed artifact cache."""
 
+import collections
 import dataclasses
 import enum
+import hashlib
+import json
+from typing import Any, Mapping
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dataset.records import SessionTable
 from repro.dataset.simulator import SimulationConfig
 from repro.io.cache import (
     CACHE_DIR_ENV,
+    CACHE_FORMAT_VERSION,
     ArtifactCache,
     CacheError,
+    Encoded,
+    canonical_json,
     content_key,
     default_cache_root,
     describe,
+    json_member,
     load_table,
     save_table,
 )
@@ -24,10 +34,109 @@ class _Colour(enum.Enum):
     RED = "red"
 
 
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
 @dataclasses.dataclass(frozen=True)
 class _Cfg:
     n: int
     label: str
+
+
+@dataclasses.dataclass(frozen=True)
+class _Outer:
+    cfg: _Cfg
+    weights: tuple
+    level: _Level
+
+
+def _describe_before(value: Any) -> Any:
+    """``describe`` as it was before its exact-type fast path."""
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        described = {
+            field.name: _describe_before(getattr(value, field.name))
+            for field in dataclasses.fields(value)
+        }
+        described["__type__"] = type(value).__name__
+        return described
+    if isinstance(value, enum.Enum):
+        return value.value
+    if isinstance(value, np.generic):
+        return value.item()
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, Mapping):
+        return {str(k): _describe_before(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_describe_before(v) for v in value]
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return value
+    raise CacheError(
+        f"cannot build a content key from a {type(value).__name__} value"
+    )
+
+
+def _key_before(parts: Mapping[str, Any]) -> str:
+    """``content_key`` as it was: describe the whole mapping, then dump it."""
+    payload = _describe_before(dict(parts, cache_format=CACHE_FORMAT_VERSION))
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:20]
+
+
+def _dump(described: Any) -> str:
+    return json.dumps(described, sort_keys=True, separators=(",", ":"))
+
+
+#: Strings that need escaping, leave ASCII, or sort differently as text.
+_TEXT = st.one_of(
+    st.text(max_size=6),
+    st.sampled_from(
+        ["9", "10", "é", "\u2603", '"', "\\", "\n", "\x00", "\U0001f600"]
+    ),
+)
+
+_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.floats(allow_nan=True, allow_infinity=True),
+    _TEXT,
+    st.sampled_from(list(_Colour) + list(_Level)),
+    st.integers(-(2**31), 2**31).map(np.int64),
+    st.floats(width=32).map(np.float32),
+    st.floats().map(np.float64),
+    st.booleans().map(np.bool_),
+    st.lists(st.integers(-1000, 1000), max_size=4).map(
+        lambda xs: np.array(xs, dtype=np.int64)
+    ),
+    st.lists(st.floats(allow_nan=False), max_size=4).map(np.array),
+    st.builds(_Cfg, n=st.integers(), label=_TEXT),
+)
+
+_VALUES = st.recursive(
+    _LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(st.one_of(_TEXT, st.integers(0, 12)), inner, max_size=3),
+        st.dictionaries(_TEXT, inner, max_size=3).map(collections.OrderedDict),
+        st.builds(
+            _Outer,
+            cfg=st.builds(_Cfg, n=st.integers(), label=_TEXT),
+            weights=st.lists(inner, max_size=2).map(tuple),
+            level=st.sampled_from(list(_Level)),
+        ),
+    ),
+    max_leaves=8,
+)
+
+_PARTS = st.dictionaries(
+    st.one_of(_TEXT, st.sampled_from(["cache_format", "arrivals", "bs_ids"])),
+    _VALUES,
+    max_size=5,
+)
 
 
 class TestDescribe:
@@ -72,6 +181,52 @@ class TestContentKey:
         key = content_key({"a": 1})
         assert len(key) == 20
         int(key, 16)  # parses as hexadecimal
+
+
+class TestEncodedSplice:
+    """Pre-encoded parts give the key that encoding the whole mapping gave."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(value=_VALUES)
+    def test_describe_fast_path_matches_the_old_describe(self, value):
+        assert _dump(describe(value)) == _dump(_describe_before(value))
+
+    @settings(max_examples=200, deadline=None)
+    @given(value=_VALUES)
+    def test_canonical_json_is_the_nested_text(self, value):
+        whole = _dump(_describe_before({"v": value}))
+        assert whole == "{" + json_member("v", canonical_json(value)) + "}"
+
+    @settings(max_examples=200, deadline=None)
+    @given(parts=_PARTS, data=st.data())
+    def test_any_pre_encoded_subset_gives_the_plain_key(self, parts, data):
+        encoded = data.draw(st.sets(st.sampled_from(sorted(parts) or [""])))
+        mixed = {
+            name: Encoded(canonical_json(value)) if name in encoded else value
+            for name, value in parts.items()
+        }
+        assert content_key(mixed) == content_key(parts) == _key_before(parts)
+
+    def test_members_join_in_string_order(self):
+        models = {9: _Cfg(n=9, label="nine"), 10: _Cfg(n=10, label="ten")}
+        members = ",".join(
+            json_member(str(bs), canonical_json(models[bs]))
+            for bs in sorted(models, key=str)
+        )
+        plain = {"arrivals": {str(bs): m for bs, m in models.items()}}
+        spliced = {"arrivals": Encoded("{" + members + "}")}
+        assert content_key(spliced) == content_key(plain) == _key_before(plain)
+
+    def test_subclasses_keep_their_branches(self):
+        assert describe(_Level.HIGH) == 2 and type(describe(_Level.HIGH)) is int
+        assert type(describe(np.float64(0.5))) is float
+        assert describe(np.bool_(True)) is True
+        ordered = collections.OrderedDict([("b", 1), ("a", 2)])
+        assert describe(ordered) == {"b": 1, "a": 2}
+
+    def test_nested_encoded_part_is_rejected(self):
+        with pytest.raises(CacheError):
+            content_key({"a": [Encoded("1")]})
 
 
 class TestArtifactCache:
