@@ -61,9 +61,9 @@ from repro.core.generator import (
 from repro.core.model_bank import ModelBank
 from repro.core.service_mix import ServiceMix
 from repro.dataset.network import Network, NetworkConfig, decile_peak_rate
-from repro.dataset.records import SessionArena
+from repro.dataset.records import SessionArena, SessionTable
 from repro.dataset.simulator import SimulationConfig, simulate
-from repro.pipeline.executors import peak_rss_mb
+from repro.pipeline.executors import make_executor, peak_rss_mb
 
 if __package__:
     from .isolation import isolated_phase
@@ -149,9 +149,17 @@ def tables_identical(a, b) -> bool:
 def check_determinism(generator: TrafficGenerator) -> dict:
     """Serial==parallel and chunked==unchunked byte-identity verdicts."""
     serial = generator.generate_campaign(IDENTITY_DAYS, SEED)
-    parallel = generator.generate_campaign(IDENTITY_DAYS, SEED, jobs=2)
-    chunked = generator.generate_campaign(
-        IDENTITY_DAYS, SEED, chunk_sessions=10_000
+    with make_executor(2) as executor:
+        parallel = generator.generate_campaign(
+            IDENTITY_DAYS, SEED, executor=executor
+        )
+    chunked = SessionTable.concatenate(
+        [
+            chunk.table
+            for chunk in generator.iter_campaign_chunks(
+                IDENTITY_DAYS, SEED, chunk_sessions=10_000
+            )
+        ]
     )
     return {
         "serial_equals_parallel": tables_identical(serial, parallel),

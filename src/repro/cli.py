@@ -165,16 +165,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--trace", default=None,
         help="also export the generated campaign as a CSV(.gz) trace",
     )
-    gen.add_argument(
-        "--arena-mb", type=float, default=None, metavar="MB",
-        help="preallocate the reused session arena at this budget instead "
-        "of sizing it from chunk expectations",
-    )
-    gen.add_argument(
-        "--memmap-spool", action="store_true",
-        help="spool cached chunks as raw columnar segments (memory-"
-        "mappable) instead of .npz archives",
-    )
     _add_run_flags(gen)
 
     camp = sub.add_parser(
@@ -450,8 +440,6 @@ def _cmd_generate(args: argparse.Namespace, ctx: RunContext) -> int:
                 args.days,
                 chunk_sessions=args.chunk_size,
                 materialize=bool(args.trace),
-                arena_mb=args.arena_mb,
-                memmap_spool=args.memmap_spool,
             )
         ],
         inputs=("generator",),

@@ -35,9 +35,9 @@ The engine mirrors the simulator's run architecture:
   :meth:`TrafficGenerator.iter_campaign_chunks` partitions the campaign
   into chunks of a configurable expected session count and reuses one
   arena across all of them, and :meth:`TrafficGenerator.spool_campaign`
-  streams those chunks through the artifact cache (optionally as raw
-  memmap-loadable segments), so peak memory stays bounded at 45-day ×
-  thousands-of-BS scale.
+  streams those chunks through the artifact cache as raw columnar
+  segments (:mod:`repro.io.spool`), so peak memory stays bounded at
+  45-day × thousands-of-BS scale.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ import numpy as np
 from ..dataset.circadian import MINUTES_PER_DAY, peak_minute_mask
 from ..dataset.records import SERVICE_NAMES, SessionArena, SessionTable
 from ..pipeline.context import coerce_root_seed, stream_seed
-from ..pipeline.executors import ParallelExecutor, SerialExecutor, make_executor
+from ..pipeline.executors import ParallelExecutor, SerialExecutor
 from .arrivals import ArrivalModel
 from .model_bank import ModelBank
 from .service_mix import ServiceMix
@@ -821,37 +821,21 @@ class CampaignManifest:
         Content keys of the chunks, in canonical campaign order.
     n_sessions / total_volume_mb:
         Campaign-level totals accumulated while spooling.
-    suffix:
-        On-disk chunk format: ``".npz"`` (compressed archive) or the raw
-        segment format of :mod:`repro.io.spool` (memmap spool).
+
+    Every chunk is a segment of :mod:`repro.io.spool`.
     """
 
     kind: str
     chunk_keys: tuple[str, ...]
     n_sessions: int
     total_volume_mb: float
-    suffix: str = ".npz"
 
-    def _loader(self, memmap: bool = False):
-        """Chunk loader callback matching this manifest's on-disk format."""
-        from ..io.cache import load_table
+    def iter_tables(self, cache: "ArtifactCache") -> Iterator[SessionTable]:
+        """Yield each spooled chunk table in canonical campaign order."""
         from ..io.spool import SEGMENT_SUFFIX, load_segment
 
-        if self.suffix == SEGMENT_SUFFIX:
-            return lambda path: load_segment(path, memmap=memmap)
-        return load_table
-
-    def iter_tables(
-        self, cache: "ArtifactCache", *, memmap: bool = False
-    ) -> Iterator[SessionTable]:
-        """Yield each spooled chunk table in canonical campaign order.
-
-        ``memmap=True`` (segment spools only) maps chunk columns straight
-        from the cache files instead of reading them into fresh arrays.
-        """
-        loader = self._loader(memmap=memmap)
         for key in self.chunk_keys:
-            yield cache.fetch(self.kind, key, self.suffix, loader)
+            yield cache.fetch(self.kind, key, SEGMENT_SUFFIX, load_segment)
 
     def load(self, cache: "ArtifactCache") -> SessionTable:
         """Materialize the full campaign (memory-unbounded: prefer
@@ -1190,47 +1174,26 @@ class TrafficGenerator:
         rng: int | np.integer | np.random.Generator,
         *,
         executor: SerialExecutor | ParallelExecutor | None = None,
-        jobs: int | None = None,
-        chunk_sessions: int | None = None,
     ) -> SessionTable:
         """Generate ``n_days`` of sessions over every configured BS.
 
         ``rng`` may be an integer root seed or a ``Generator`` (from which
         one root seed is drawn); every (day, BS) unit then runs on its own
-        spawned seed stream, so ``jobs=1`` and ``jobs=N`` runs — and any
-        ``chunk_sessions`` setting — produce byte-identical tables.  Pass
-        either an ``executor`` or a ``jobs`` count (an owned executor is
-        created and reaped for the call).
+        spawned seed stream, so serial and parallel ``executor`` runs
+        produce byte-identical tables.
 
-        The whole campaign is materialized here regardless of
-        ``chunk_sessions``: all unit blocks fill one expectation-sized
-        arena whose buffers the returned table aliases and keeps alive —
-        chunk splitting would only add a redundant copy.  For bounded peak
-        memory, consume :meth:`iter_campaign_chunks` or
-        :meth:`spool_campaign` instead.
+        The whole campaign is materialized here: all unit blocks fill one
+        expectation-sized arena whose buffers the returned table aliases
+        and keeps alive.  For bounded peak memory, consume
+        :meth:`iter_campaign_chunks` or :meth:`spool_campaign` instead.
         """
-        if executor is not None and jobs is not None:
-            raise GeneratorError("pass either executor= or jobs=, not both")
-        if chunk_sessions is not None:
-            # Validate eagerly so chunked and direct calls reject the same
-            # inputs; the value does not affect the (byte-identical) output.
-            self.plan_chunks(n_days, chunk_sessions)
-        owned = make_executor(jobs) if executor is None and jobs else None
-        runner = (
-            executor
-            if executor is not None
-            else owned if owned is not None else SerialExecutor()
-        )
+        runner = executor if executor is not None else SerialExecutor()
         units = self.campaign_units(n_days)
         arena = self._arena_for([units])
-        try:
-            lo, hi = self._generate_chunk(
-                self.sampler(), units, coerce_root_seed(rng), runner, arena
-            )
-            return arena.view(lo, hi)
-        finally:
-            if owned is not None:
-                owned.close()
+        lo, hi = self._generate_chunk(
+            self.sampler(), units, coerce_root_seed(rng), runner, arena
+        )
+        return arena.view(lo, hi)
 
     def generate_units(
         self,
@@ -1281,27 +1244,21 @@ class TrafficGenerator:
         executor: SerialExecutor | ParallelExecutor | None = None,
         chunk_sessions: int | None = None,
         telemetry: "Telemetry | None" = None,
-        arena: SessionArena | None = None,
-        memmap_spool: bool = False,
     ) -> CampaignManifest:
         """Generate chunk-by-chunk through the artifact cache.
 
         Each chunk is content-keyed by the generator's models, the root
         seed and the chunk's unit identities, and persisted before the
         next chunk is generated — peak memory stays bounded by one chunk,
-        and every chunk reuses one arena (``arena`` lets callers share
-        theirs).  Chunks already present under their key are loaded
-        instead of regenerated, so an interrupted spool resumes where it
-        stopped; an unreadable (e.g. truncated) chunk artifact is
-        regenerated in place.  Returns the :class:`CampaignManifest`
+        and every chunk reuses one arena.  Chunks already present under
+        their key are loaded instead of regenerated, so an interrupted
+        spool resumes where it stopped; an unreadable (e.g. truncated)
+        chunk artifact is regenerated in place.  Returns the :class:`CampaignManifest`
         indexing the spool.
 
-        ``memmap_spool=True`` streams each chunk as a raw arena segment
-        (:mod:`repro.io.spool`) instead of a compressed ``.npz``: writes
-        are straight column-buffer dumps and readers may memmap them —
-        the right trade at country scale, where compression time
-        dominates.  Chunk keys are identical either way; only the
-        artifact suffix differs.
+        Each chunk is stored as a raw segment (:mod:`repro.io.spool`):
+        writes are straight column-buffer dumps, so spooling runs at disk
+        bandwidth, at about three times the bytes of a compressed archive.
 
         ``telemetry`` (optional) records one ``chunk`` span per spooled
         chunk — attributed ``cache: "hit"`` for replayed chunks and
@@ -1309,20 +1266,15 @@ class TrafficGenerator:
         throughput counters and arena gauges; the spooled bytes are
         byte-identical either way.
         """
-        from ..io.cache import CacheError, content_key, load_table, save_table
+        from ..io.cache import CacheError, content_key
         from ..io.spool import SEGMENT_SUFFIX, load_segment, save_segment
-
-        if memmap_spool:
-            suffix, save_fn, load_fn = SEGMENT_SUFFIX, save_segment, load_segment
-        else:
-            suffix, save_fn, load_fn = ".npz", save_table, load_table
 
         root_seed = coerce_root_seed(seed)
         plans = self.plan_chunks(n_days, chunk_sessions)
         runner = executor if executor is not None else SerialExecutor()
         sampler = self.sampler()
         obs = telemetry
-        work_arena = arena if arena is not None else self._arena_for(plans)
+        work_arena = self._arena_for(plans)
         config = self._content_parts()
         keys: list[str] = []
         n_sessions = 0
@@ -1338,10 +1290,11 @@ class TrafficGenerator:
 
             def produce(table_key: str = key, chunk_units=units):
                 table: SessionTable | None = None
-                if cache.has(GENERATED_KIND, table_key, suffix):
+                if cache.has(GENERATED_KIND, table_key, SEGMENT_SUFFIX):
                     try:
                         table = cache.fetch(
-                            GENERATED_KIND, table_key, suffix, load_fn
+                            GENERATED_KIND, table_key, SEGMENT_SUFFIX,
+                            load_segment,
                         )
                     except CacheError:
                         table = None  # unreadable entry: regenerate below
@@ -1355,8 +1308,8 @@ class TrafficGenerator:
                 cache.store(
                     GENERATED_KIND,
                     table_key,
-                    suffix,
-                    lambda path, value=table: save_fn(path, value),
+                    SEGMENT_SUFFIX,
+                    lambda path, value=table: save_segment(path, value),
                 )
                 return table, "miss"
 
@@ -1382,7 +1335,6 @@ class TrafficGenerator:
             chunk_keys=tuple(keys),
             n_sessions=n_sessions,
             total_volume_mb=float(total_volume),
-            suffix=suffix,
         )
 
 

@@ -11,8 +11,8 @@ tuple of :class:`ColumnSpec` descriptors — and everything else (table
 construction, empty tables, the :class:`SessionArena` buffers, the spool
 format, the S301 lint mirror) derives from it.  Generation-scale producers
 write straight into a :class:`SessionArena`: one preallocated buffer per
-column, grown geometrically (or backed by memmap files), handing out
-zero-copy slices so the synthesis hot path never allocates per chunk.
+column, grown geometrically, handing out zero-copy slices so the
+synthesis hot path never allocates per chunk.
 Validation is a separate :meth:`SessionTable.validate` pass — arena
 producers construct views in O(1) and validate once where it matters.
 """
@@ -20,7 +20,6 @@ producers construct views in O(1) and validate once where it matters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -91,63 +90,26 @@ class SessionArena:
     table.  :meth:`reset` rewinds the write cursor for reuse (buffers are
     kept), which is how chunked generation reuses one allocation across an
     entire campaign.
-
-    With ``memmap_dir`` set, the column buffers live in memory-mapped
-    files under that directory instead of anonymous memory — the spool
-    path of country-scale campaigns, where the OS pages cold columns out.
     """
 
-    def __init__(
-        self,
-        capacity: int = DEFAULT_ARENA_CAPACITY,
-        memmap_dir: str | Path | None = None,
-    ):
+    def __init__(self, capacity: int = DEFAULT_ARENA_CAPACITY):
         if capacity < 1:
             raise RecordsError("arena capacity must be >= 1")
         self._capacity = int(capacity)
         self._size = 0
-        self._memmap_dir = Path(memmap_dir) if memmap_dir is not None else None
-        self._generation = 0
         self._columns: dict[str, np.ndarray] = {}
         self._allocate(self._capacity)
-
-    @classmethod
-    def from_budget_mb(
-        cls, budget_mb: float, memmap_dir: str | Path | None = None
-    ) -> "SessionArena":
-        """Arena sized to hold ``budget_mb`` MiB of session rows."""
-        if budget_mb <= 0:
-            raise RecordsError("arena budget must be positive")
-        capacity = max(1, int(budget_mb * (1 << 20) / ROW_BYTES))
-        return cls(capacity=capacity, memmap_dir=memmap_dir)
 
     # -- buffer management ---------------------------------------------
     def _allocate(self, capacity: int) -> None:
         """(Re)allocate every column at ``capacity``, preserving content."""
         old = self._columns
         fresh: dict[str, np.ndarray] = {}
-        self._generation += 1
         for spec in TABLE_SCHEMA:
-            if self._memmap_dir is None:
-                column = np.empty(capacity, dtype=spec.np_dtype)
-            else:
-                self._memmap_dir.mkdir(parents=True, exist_ok=True)
-                path = self._memmap_dir / (
-                    f"{spec.name}.g{self._generation}.dat"
-                )
-                column = np.memmap(
-                    path, dtype=spec.np_dtype, mode="w+", shape=(capacity,)
-                )
+            column = np.empty(capacity, dtype=spec.np_dtype)
             if self._size:
                 column[: self._size] = old[spec.name][: self._size]
             fresh[spec.name] = column
-        if self._memmap_dir is not None and old:
-            # Old-generation files are dead once their data is copied over.
-            for spec in TABLE_SCHEMA:
-                stale = getattr(old[spec.name], "filename", None)
-                del old[spec.name]
-                if stale is not None:
-                    Path(stale).unlink(missing_ok=True)
         self._columns = fresh
         self._capacity = capacity
 

@@ -1,6 +1,6 @@
 """Persistence and presentation helpers."""
 
-from .cache import ArtifactCache, content_key, load_table, save_table
+from .cache import ArtifactCache, content_key
 from .params import load_release, save_release
 from .spool import SEGMENT_SUFFIX, load_segment, save_segment
 from .tables import format_table, print_table
@@ -13,12 +13,10 @@ __all__ = [
     "format_table",
     "load_release",
     "load_segment",
-    "load_table",
     "print_table",
     "read_trace",
     "save_release",
     "save_segment",
-    "save_table",
     "trace_to_string",
     "write_trace",
 ]

@@ -8,9 +8,11 @@ configuration, the seed, or the artifact-format version produces a
 different key and a clean miss (stale entries are simply never read).
 
 Layout on disk: ``<root>/<kind>/<key><suffix>``, e.g.
-``.repro-cache/campaign/1f0c9a….npz``.  Writes go through a temporary file
+``.repro-cache/campaign/1f0c9a….seg``.  Writes go through a temporary file
 plus atomic rename, so a crashed run can never leave a truncated artifact
-behind that a later run would trust.
+behind that a later run would trust.  The cache is format-agnostic: callers
+pass ``save``/``load`` callbacks, and every session table goes through the
+segment pair of :mod:`repro.io.spool`.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from typing import TYPE_CHECKING, Any, Callable, Mapping
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..dataset.records import SessionTable
     from ..obs.telemetry import Telemetry
 
 #: Environment variable overriding the default cache location.
@@ -251,32 +252,3 @@ class ArtifactCache:
         except OSError:  # pragma: no cover - concurrent eviction
             pass
         return value
-
-
-def save_table(path: str | Path, table: "SessionTable") -> None:
-    """Persist a :class:`SessionTable` as a compressed ``.npz`` archive."""
-    from ..dataset.records import SessionTable
-
-    np.savez_compressed(
-        str(path), **{col: getattr(table, col) for col in SessionTable.COLUMNS}
-    )
-
-
-def load_table(path: str | Path) -> "SessionTable":
-    """Inverse of :func:`save_table`.
-
-    Any way the archive can be broken — truncated zip, missing columns,
-    arrays that fail :class:`SessionTable` validation — surfaces as
-    :class:`CacheError`, so callers have a single corruption signal.
-    """
-    import zipfile
-
-    from ..dataset.records import SessionTable
-
-    try:
-        with np.load(str(path)) as archive:
-            return SessionTable(
-                *(archive[col] for col in SessionTable.COLUMNS)
-            )
-    except (OSError, KeyError, ValueError, zipfile.BadZipFile, EOFError) as exc:
-        raise CacheError(f"cannot read session table at {path}: {exc}") from exc

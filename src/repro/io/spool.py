@@ -1,14 +1,16 @@
-"""Raw columnar segment format for arena-backed campaign spooling.
+"""Raw columnar segment format: the one on-disk form of a session table.
 
-A *segment* is one :class:`~repro.dataset.records.SessionTable` chunk laid
-out exactly as the :class:`~repro.dataset.records.SessionArena` holds it:
-a one-line JSON header describing the schema, followed by each column's
-raw buffer bytes in schema order.  Writing is a straight sequence of
-buffer dumps — no compression, no archive framing — which is what lets
-:meth:`~repro.core.generator.TrafficGenerator.spool_campaign` stream
-country-scale campaigns at memory bandwidth; reading can either copy the
-columns out or memory-map them in place (``load_segment(memmap=True)``),
-so chunk consumers never pay a decompression pass.
+A *segment* is one :class:`~repro.dataset.records.SessionTable` laid out
+exactly as the :class:`~repro.dataset.records.SessionArena` holds it: a
+one-line JSON header describing the schema, followed by each column's raw
+buffer bytes in schema order.  Every cached table — the simulate stage's
+campaign and each chunk
+:meth:`~repro.core.generator.TrafficGenerator.spool_campaign` streams —
+is stored this way.  Writing is a straight sequence of buffer dumps and
+reading a straight sequence of buffer fills — no compression, no archive
+framing — so the cache runs at disk bandwidth.  The price is size: a
+segment takes about three times the bytes of a compressed archive of the
+same table.
 
 The header pins the schema (names, dtypes, row count) and the loader
 cross-checks it against :data:`~repro.dataset.records.TABLE_SCHEMA` plus
@@ -25,9 +27,9 @@ from pathlib import Path
 
 import numpy as np
 
-from ..dataset.records import TABLE_SCHEMA, SessionTable
+from ..dataset.records import ROW_BYTES, TABLE_SCHEMA, SessionTable
 
-#: Artifact suffix of raw segment spools (vs ``".npz"`` archives).
+#: Artifact suffix of session-table segments.
 SEGMENT_SUFFIX = ".seg"
 
 #: Magic identifying a segment header; bump the version on layout changes.
@@ -63,12 +65,8 @@ def save_segment(path: str | Path, table: SessionTable) -> None:
             fh.write(np.ascontiguousarray(getattr(table, spec.name)).tobytes())
 
 
-def load_segment(path: str | Path, *, memmap: bool = False) -> SessionTable:
+def load_segment(path: str | Path) -> SessionTable:
     """Read a segment back as a (validated) :class:`SessionTable`.
-
-    With ``memmap=True`` the columns are memory-mapped read-only straight
-    from the file instead of copied into fresh arrays — the bounded-memory
-    consumer path for country-scale spools.
 
     Raises :class:`SegmentError` on any structural problem: bad magic,
     schema drift against :data:`TABLE_SCHEMA`, or a file size that does
@@ -96,32 +94,16 @@ def load_segment(path: str | Path, *, memmap: bool = False) -> SessionTable:
     n = header.get("n")
     if not isinstance(n, int) or n < 0:
         raise SegmentError(f"segment {path} declares invalid row count {n!r}")
-    offsets = []
-    offset = data_start
-    for spec in TABLE_SCHEMA:
-        offsets.append(offset)
-        offset += n * spec.np_dtype.itemsize
+    offset = data_start + n * ROW_BYTES
     if path.stat().st_size != offset:
         raise SegmentError(
             f"segment {path} is truncated or padded: expected {offset} bytes,"
             f" found {path.stat().st_size}"
         )
     columns = []
-    if memmap and n:
-        for spec, col_offset in zip(TABLE_SCHEMA, offsets):
-            columns.append(
-                np.memmap(
-                    path,
-                    dtype=spec.np_dtype,
-                    mode="r",
-                    offset=col_offset,
-                    shape=(n,),
-                )
-            )
-    else:
-        with open(path, "rb") as fh:
-            fh.seek(data_start)
-            for spec in TABLE_SCHEMA:
-                raw = fh.read(n * spec.np_dtype.itemsize)
-                columns.append(np.frombuffer(raw, dtype=spec.np_dtype))
+    with open(path, "rb") as fh:
+        fh.seek(data_start)
+        for spec in TABLE_SCHEMA:
+            # Fresh writable arrays, like those of a freshly computed table.
+            columns.append(np.fromfile(fh, dtype=spec.np_dtype, count=n))
     return SessionTable(*columns)

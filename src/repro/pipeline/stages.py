@@ -36,7 +36,7 @@ class ArtifactSpec:
     kind:
         Cache subdirectory / artifact family name (e.g. ``"campaign"``).
     suffix:
-        Filename suffix of the persisted form (e.g. ``".npz"``).
+        Filename suffix of the persisted form (e.g. ``".seg"``).
     save:
         ``save(path, value)`` — write the artifact to ``path``.
     load:

@@ -4,7 +4,7 @@ Builders for the named stages the CLI (and scripts) assemble into runs:
 
 * ``network`` — construct the synthetic BS population;
 * ``simulate`` — run the measurement campaign across (day, BS) seed-stream
-  work units, cached as a compressed ``.npz`` session table;
+  work units, cached as a raw ``.seg`` session-table segment;
 * ``fit-models`` — per-service session-level model fitting fan-out;
 * ``fit-arrivals`` — per-decile bi-modal arrival model fitting;
 * ``read-trace`` — load a campaign from a CSV(.gz) trace instead;
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from ..io.cache import load_table, save_table
+from ..io.spool import SEGMENT_SUFFIX, load_segment, save_segment
 from .stages import ArtifactSpec, Stage
 
 #: Default BS count of pipeline-built networks (mirrors the CLI default).
@@ -47,8 +47,9 @@ def simulate_stage(n_days: int) -> Stage:
 
     The campaign is keyed by the run seed, the network configuration, the
     simulation configuration and the service catalog — the full set of
-    facts that determine its content — and persisted as ``.npz``, so a
-    repeated ``fit``/``validate`` run skips re-simulation entirely.
+    facts that determine its content — and persisted as a segment
+    (:mod:`repro.io.spool`), so a repeated ``fit``/``validate`` run skips
+    re-simulation entirely.
     """
     from ..dataset.records import SERVICE_NAMES
     from ..dataset.simulator import SimulationConfig, simulate
@@ -77,9 +78,9 @@ def simulate_stage(n_days: int) -> Stage:
         fn=run,
         spec=ArtifactSpec(
             kind="campaign",
-            suffix=".npz",
-            save=save_table,
-            load=load_table,
+            suffix=SEGMENT_SUFFIX,
+            save=save_segment,
+            load=load_segment,
             key_parts=key_parts,
         ),
     )
@@ -134,8 +135,6 @@ def generate_stage(
     n_days: int,
     chunk_sessions: int | None = None,
     materialize: bool = True,
-    arena_mb: float | None = None,
-    memmap_spool: bool = False,
 ) -> Stage:
     """Stage synthesizing a campaign from a ``generator`` artifact.
 
@@ -146,24 +145,14 @@ def generate_stage(
     ``--jobs`` or ``chunk_sessions`` setting.  With a cache on the context,
     chunks are spooled through it (bounded peak memory, resumable);
     ``materialize=False`` then keeps only the campaign totals, never the
-    full table.  ``arena_mb`` preallocates the reused session arena at a
-    fixed budget instead of sizing it from chunk expectations;
-    ``memmap_spool`` spools chunks as raw columnar segments instead of
-    ``.npz`` archives, so downstream consumers can memory-map them.
-    Produces a :class:`~repro.core.generator.GenerationResult`.
+    full table.  Produces a :class:`~repro.core.generator.GenerationResult`.
     """
     from ..core.generator import GenerationResult
-    from ..dataset.records import SessionArena
 
     def run(ctx, artifacts):
         generator = artifacts["generator"]
         with ctx.executor() as executor:
             if ctx.cache is not None:
-                arena = (
-                    SessionArena.from_budget_mb(arena_mb)
-                    if arena_mb is not None
-                    else None
-                )
                 manifest = generator.spool_campaign(
                     n_days,
                     ctx.seed,
@@ -171,8 +160,6 @@ def generate_stage(
                     executor=executor,
                     chunk_sessions=chunk_sessions,
                     telemetry=ctx.telemetry,
-                    arena=arena,
-                    memmap_spool=memmap_spool,
                 )
                 return GenerationResult(
                     n_sessions=manifest.n_sessions,
@@ -181,17 +168,15 @@ def generate_stage(
                     chunk_keys=manifest.chunk_keys,
                     table=manifest.load(ctx.cache) if materialize else None,
                 )
+            n_chunks = len(generator.plan_chunks(n_days, chunk_sessions))
             table = generator.generate_campaign(
-                n_days,
-                ctx.seed,
-                executor=executor,
-                chunk_sessions=chunk_sessions,
+                n_days, ctx.seed, executor=executor
             )
             ctx.obs.metrics.counter("generator.sessions").inc(len(table))
             return GenerationResult(
                 n_sessions=len(table),
                 total_volume_mb=table.total_volume_mb(),
-                n_chunks=len(generator.plan_chunks(n_days, chunk_sessions)),
+                n_chunks=n_chunks,
                 table=table if materialize else None,
             )
 

@@ -8,6 +8,8 @@ fully materialized campaign.
 
 from __future__ import annotations
 
+import errno
+
 import pytest
 
 from repro.campaign import (
@@ -209,6 +211,27 @@ class TestPinnedDigest:
         keys = sorted(p.stem for p in (tmp_path / CHECKPOINT_KIND).iterdir())
         assert keys == self.PINNED_KEYS
 
+    def test_failed_checkpoint_write_resumes_to_the_pinned_bytes(
+        self, decile_generator, tmp_path, full_disk_on_write
+    ):
+        """A full disk on the 2nd checkpoint: error out, leave no debris."""
+        from repro.campaign.driver import CHECKPOINT_KIND, _load_checkpoint
+
+        cache = ArtifactCache(tmp_path)
+        full_disk_on_write(2)
+        with pytest.raises(OSError) as raised:
+            run_campaign(decile_generator, 1, 1, shard_bs=8, cache=cache)
+        assert raised.value.errno == errno.ENOSPC
+        files = [path for path in tmp_path.rglob("*") if path.is_file()]
+        assert [path.name for path in files if path.name.startswith(".tmp-")] == []
+        assert len(files) == 1  # the first shard, written before the failure
+        assert files[0].stem in self.PINNED_KEYS
+        _load_checkpoint(files[0])  # complete: a partial checkpoint fails
+        rerun = run_campaign(decile_generator, 1, 1, shard_bs=8, cache=cache)
+        assert (rerun.resumed_shards, rerun.computed_shards) == (1, 3)
+        assert rerun.digest() == self.PINNED_DIGEST
+        keys = sorted(p.stem for p in (tmp_path / CHECKPOINT_KIND).iterdir())
+        assert keys == self.PINNED_KEYS
 
 
 class TestPinnedMultiDayKeys:

@@ -58,3 +58,38 @@ def campaign_stats(campaign):
 def bank(campaign) -> ModelBank:
     """Session-level models fitted on the shared campaign."""
     return ModelBank.fit_from_table(campaign, min_sessions=400)
+
+
+@pytest.fixture
+def full_disk_on_write(monkeypatch):
+    """Arm ``ArtifactCache.store`` to fail its ``n``-th write with ENOSPC.
+
+    Call the fixture with ``n``.  The failing ``save`` callback first
+    leaves a half-written file at the temporary path, as a disk filling up
+    mid-write would, then raises ``OSError(ENOSPC)``.  Every other store
+    call writes normally, so a rerun after the failure sees a healthy disk.
+    """
+    import errno
+    import itertools
+
+    from repro.io.cache import ArtifactCache
+
+    def arm(n: int) -> None:
+        real_store = ArtifactCache.store
+        calls = itertools.count(1)
+
+        def store(self, kind, key, suffix, save):
+            if next(calls) != n:
+                return real_store(self, kind, key, suffix, save)
+
+            def failing_save(path):
+                save(path)
+                with open(path, "r+b") as fh:
+                    fh.truncate(path.stat().st_size // 2)
+                raise OSError(errno.ENOSPC, "No space left on device", str(path))
+
+            return real_store(self, kind, key, suffix, failing_save)
+
+        monkeypatch.setattr(ArtifactCache, "store", store)
+
+    return arm

@@ -15,7 +15,9 @@ from repro.core.generator import (
 )
 from repro.core.service_mix import ServiceMix
 from repro.dataset.circadian import peak_minute_mask
-from repro.dataset.records import SERVICE_NAMES
+from repro.dataset.records import SERVICE_NAMES, SessionTable
+from repro.io.spool import SEGMENT_SUFFIX
+from repro.pipeline.executors import make_executor
 
 
 @pytest.fixture(scope="module")
@@ -98,8 +100,11 @@ class TestSeedStreams:
     """The satellite bugfix: per-(day, BS) spawned seed streams."""
 
     def test_serial_matches_parallel(self, tiny_generator):
-        serial = tiny_generator.generate_campaign(2, 11, jobs=1)
-        parallel = tiny_generator.generate_campaign(2, 11, jobs=2)
+        serial = tiny_generator.generate_campaign(2, 11)
+        with make_executor(2) as executor:
+            parallel = tiny_generator.generate_campaign(
+                2, 11, executor=executor
+            )
         assert _tables_identical(serial, parallel)
 
     def test_independent_of_arrival_dict_order(self, bank, tiny_generator):
@@ -133,19 +138,15 @@ class TestSeedStreams:
         sliced = campaign.select((campaign.day == 1) & (campaign.bs_id == 3))
         assert _tables_identical(day.table, sliced)
 
-    def test_executor_and_jobs_are_exclusive(self, tiny_generator):
-        from repro.pipeline.executors import SerialExecutor
-
-        with pytest.raises(GeneratorError):
-            tiny_generator.generate_campaign(
-                1, 5, executor=SerialExecutor(), jobs=2
-            )
-
 
 class TestChunking:
     def test_chunked_equals_unchunked(self, tiny_generator):
         whole = tiny_generator.generate_campaign(2, 11)
-        chunked = tiny_generator.generate_campaign(2, 11, chunk_sessions=500)
+        chunks = list(
+            tiny_generator.iter_campaign_chunks(2, 11, chunk_sessions=500)
+        )
+        assert len(chunks) > 1, "workload must span several chunks"
+        chunked = SessionTable.concatenate([c.table for c in chunks])
         assert _tables_identical(whole, chunked)
 
     def test_chunks_cover_canonical_units_in_order(self, tiny_generator):
@@ -301,7 +302,7 @@ class TestSpooling:
         cache = ArtifactCache(tmp_path)
         first = tiny_generator.spool_campaign(2, 11, cache, chunk_sessions=500)
         stamps = {
-            key: cache.path_for(first.kind, key, ".npz").stat().st_mtime_ns
+            key: cache.path_for(first.kind, key, SEGMENT_SUFFIX).stat().st_mtime_ns
             for key in first.chunk_keys
         }
         second = tiny_generator.spool_campaign(
@@ -312,7 +313,7 @@ class TestSpooling:
         for key in second.chunk_keys:
             # untouched on the second run: chunks were loaded, not rebuilt
             assert (
-                cache.path_for(second.kind, key, ".npz").stat().st_mtime_ns
+                cache.path_for(second.kind, key, SEGMENT_SUFFIX).stat().st_mtime_ns
                 == stamps[key]
             )
 

@@ -1,4 +1,4 @@
-"""SessionArena: reservation, growth, views, snapshots, memmap backing."""
+"""SessionArena: reservation, growth, views and snapshots."""
 
 from __future__ import annotations
 
@@ -126,15 +126,6 @@ class TestViewsAndSnapshots:
 
 
 class TestBudgetAndIntrospection:
-    def test_from_budget_mb_capacity(self):
-        arena = SessionArena.from_budget_mb(1.0)
-        assert arena.capacity == (1 << 20) // ROW_BYTES
-        assert arena.nbytes <= (1 << 20)
-
-    def test_from_budget_mb_rejects_non_positive(self):
-        with pytest.raises(RecordsError):
-            SessionArena.from_budget_mb(0.0)
-
     def test_fill_ratio_and_nbytes(self):
         arena = SessionArena(capacity=10)
         assert arena.fill_ratio == 0.0
@@ -142,33 +133,3 @@ class TestBudgetAndIntrospection:
         assert arena.fill_ratio == pytest.approx(0.5)
         assert arena.nbytes == 10 * ROW_BYTES
 
-
-class TestMemmapBacked:
-    def test_columns_live_in_files(self, tmp_path):
-        arena = SessionArena(capacity=8, memmap_dir=tmp_path / "arena")
-        fill_rows(arena, 4)
-        files = sorted(p.name for p in (tmp_path / "arena").iterdir())
-        assert len(files) == len(TABLE_SCHEMA)
-        assert all(name.endswith(".g1.dat") for name in files)
-        assert isinstance(arena.column("volume_mb"), np.memmap)
-
-    def test_growth_replaces_files_and_keeps_data(self, tmp_path):
-        arena = SessionArena(capacity=4, memmap_dir=tmp_path / "arena")
-        fill_rows(arena, 4, day=3)
-        fill_rows(arena, 20, day=4)  # grow: generation 2 files
-        files = sorted(p.name for p in (tmp_path / "arena").iterdir())
-        assert len(files) == len(TABLE_SCHEMA)  # stale g1 files unlinked
-        assert all(".g2." in name for name in files)
-        table = arena.view()
-        assert list(np.unique(table.day)) == [3, 4]
-
-    def test_memmap_matches_anonymous_arena(self, tmp_path):
-        plain = SessionArena(capacity=8)
-        mapped = SessionArena(capacity=8, memmap_dir=tmp_path / "arena")
-        fill_rows(plain, 6)
-        fill_rows(mapped, 6)
-        a, b = plain.snapshot(), mapped.snapshot()
-        for spec in TABLE_SCHEMA:
-            np.testing.assert_array_equal(
-                getattr(a, spec.name), getattr(b, spec.name)
-            )

@@ -25,9 +25,8 @@ from repro.io.cache import (
     default_cache_root,
     describe,
     json_member,
-    load_table,
-    save_table,
 )
+from repro.io.spool import SEGMENT_SUFFIX, load_segment, save_segment
 
 
 class _Colour(enum.Enum):
@@ -292,25 +291,29 @@ class TestTablePersistence:
         )
 
     def test_round_trip_is_exact(self, tmp_path):
-        path = tmp_path / "table.npz"
+        path = tmp_path / f"table{SEGMENT_SUFFIX}"
         original = self._table()
-        save_table(path, original)
-        restored = load_table(path)
+        save_segment(path, original)
+        restored = load_segment(path)
         for column in SessionTable.COLUMNS:
             assert np.array_equal(
                 getattr(restored, column), getattr(original, column)
             )
+            # A cache hit hands out a table as usable as a computed one.
+            assert getattr(restored, column).flags.writeable
 
     def test_empty_table_round_trip(self, tmp_path):
-        path = tmp_path / "empty.npz"
-        save_table(path, SessionTable.empty())
-        assert len(load_table(path)) == 0
+        path = tmp_path / f"empty{SEGMENT_SUFFIX}"
+        save_segment(path, SessionTable.empty())
+        assert len(load_segment(path)) == 0
 
     def test_unreadable_file_raises(self, tmp_path):
-        path = tmp_path / "garbage.npz"
-        path.write_bytes(b"not an archive")
+        cache = ArtifactCache(tmp_path)
+        path = cache.path_for("campaign", "deadbeef", SEGMENT_SUFFIX)
+        path.parent.mkdir(parents=True)
+        path.write_bytes(b"not a segment")
         with pytest.raises(CacheError):
-            load_table(path)
+            cache.fetch("campaign", "deadbeef", SEGMENT_SUFFIX, load_segment)
 
 
 class TestCorruptionRecovery:
@@ -329,22 +332,34 @@ class TestCorruptionRecovery:
         )
 
     def test_truncated_archive_raises_cache_error(self, tmp_path):
-        path = tmp_path / "table.npz"
-        save_table(path, self._table())
+        cache = ArtifactCache(tmp_path)
+        path = cache.store(
+            "campaign", "deadbeef", SEGMENT_SUFFIX,
+            lambda p: save_segment(p, self._table()),
+        )
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) // 2])
         with pytest.raises(CacheError):
-            load_table(path)
+            cache.fetch("campaign", "deadbeef", SEGMENT_SUFFIX, load_segment)
 
     def test_wrong_key_archive_raises_cache_error(self, tmp_path):
-        # A valid npz written under the right cache path but with the wrong
-        # arrays inside — e.g. produced by an older, incompatible layout.
+        # A well-formed segment written under the right cache path but with
+        # the wrong columns inside — e.g. produced by an older layout.
         cache = ArtifactCache(tmp_path)
-        path = cache.path_for("campaign", "deadbeef", ".npz")
+        path = cache.path_for("campaign", "deadbeef", SEGMENT_SUFFIX)
         path.parent.mkdir(parents=True)
-        np.savez(path, wrong=np.arange(3), keys=np.arange(3))
+        header = {
+            "format": "repro-segment",
+            "version": 1,
+            "n": 3,
+            "columns": [["wrong", "int64"], ["keys", "int64"]],
+        }
+        path.write_bytes(
+            (json.dumps(header) + "\n").encode("ascii")
+            + np.arange(6, dtype=np.int64).tobytes()
+        )
         with pytest.raises(CacheError):
-            cache.fetch("campaign", "deadbeef", ".npz", load_table)
+            cache.fetch("campaign", "deadbeef", SEGMENT_SUFFIX, load_segment)
 
     def test_pipeline_recomputes_over_corrupt_entry(self, tmp_path):
         """A poisoned cache entry is silently recomputed and overwritten."""
@@ -354,9 +369,9 @@ class TestCorruptionRecovery:
         table = self._table()
         spec = ArtifactSpec(
             kind="campaign",
-            suffix=".npz",
-            save=save_table,
-            load=load_table,
+            suffix=SEGMENT_SUFFIX,
+            save=save_segment,
+            load=load_segment,
             key_parts=lambda ctx, artifacts: {"seed": ctx.seed},
         )
         pipeline = Pipeline(
@@ -371,7 +386,7 @@ class TestCorruptionRecovery:
 
         # Poison the stored artifact in place; the next run must recompute
         # instead of crashing, and must heal the cache for the run after.
-        cached_path = ctx.cache.path_for("campaign", key, ".npz")
+        cached_path = ctx.cache.path_for("campaign", key, SEGMENT_SUFFIX)
         cached_path.write_bytes(b"garbage")
         healed = pipeline.run(ctx)
         assert healed.event("make").status == "computed"
@@ -392,8 +407,8 @@ class TestCorruptionRecovery:
                 barrier.wait()
                 for _ in range(5):
                     cache.store(
-                        "campaign", "samekey", ".npz",
-                        lambda p: save_table(p, table),
+                        "campaign", "samekey", SEGMENT_SUFFIX,
+                        lambda p: save_segment(p, table),
                     )
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(exc)
@@ -407,7 +422,9 @@ class TestCorruptionRecovery:
         assert not errors
         # The surviving artifact is complete and valid, and no temporary
         # file escaped its writer.
-        restored = cache.fetch("campaign", "samekey", ".npz", load_table)
+        restored = cache.fetch(
+            "campaign", "samekey", SEGMENT_SUFFIX, load_segment
+        )
         assert len(restored) == len(table)
         leftovers = [
             p.name

@@ -1,4 +1,4 @@
-"""Raw columnar segment format: roundtrip, memmap, corruption detection."""
+"""Raw columnar segment format: roundtrip and corruption detection."""
 
 from __future__ import annotations
 
@@ -43,21 +43,10 @@ class TestRoundtrip:
         save_segment(path, table)
         assert_tables_equal(load_segment(path), table)
 
-    def test_memmap_load_equals_copy_load(self, tmp_path):
-        table = make_table(256, seed=3)
-        path = tmp_path / f"chunk{SEGMENT_SUFFIX}"
-        save_segment(path, table)
-        mapped = load_segment(path, memmap=True)
-        # SessionTable coerces via np.asarray, so the memmap survives as
-        # the zero-copy base of each column rather than the column itself.
-        assert isinstance(mapped.volume_mb.base, np.memmap)
-        assert_tables_equal(mapped, load_segment(path))
-
     def test_empty_table_roundtrip(self, tmp_path):
         path = tmp_path / f"empty{SEGMENT_SUFFIX}"
         save_segment(path, SessionTable.empty())
         assert len(load_segment(path)) == 0
-        assert len(load_segment(path, memmap=True)) == 0
 
     def test_header_is_one_json_line(self, tmp_path):
         path = tmp_path / f"chunk{SEGMENT_SUFFIX}"

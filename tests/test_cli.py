@@ -88,7 +88,7 @@ class TestCli:
             l for l in second.splitlines() if "generated" in l
         ]
 
-    def test_generate_arena_and_memmap_spool_flags(
+    def test_generate_spools_segments_only(
         self, tmp_path, capsys, monkeypatch
     ):
         cache_dir = tmp_path / "cache"
@@ -99,16 +99,18 @@ class TestCli:
              "--output", str(models)]
         )
         capsys.readouterr()
-        code = main(
-            [
-                "--seed", "2", "generate", "--models", str(models),
-                "--bs", "2", "--days", "1", "--decile", "2",
-                "--arena-mb", "2", "--memmap-spool",
-            ]
-        )
-        assert code == 0
+        argv = [
+            "--seed", "2", "generate", "--models", str(models),
+            "--bs", "2", "--days", "1", "--decile", "2",
+        ]
+        assert main(argv) == 0
         assert "generated" in capsys.readouterr().out
         assert list(cache_dir.rglob("*.seg"))  # raw segment chunks spooled
+        assert not list(cache_dir.rglob("*.npz"))
+        for removed in (["--arena-mb", "2"], ["--memmap-spool"]):
+            with pytest.raises(SystemExit) as exited:
+                main(argv + removed)
+            assert exited.value.code == 2
 
     def test_missing_subcommand_exits(self):
         with pytest.raises(SystemExit):
